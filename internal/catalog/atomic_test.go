@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -117,23 +118,31 @@ func TestLoadCorruptionEveryFlipAndTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1 keeps version-1 files (no checksum) readable.
+// TestLoadLegacyV1 pins that a retired version-1 file is refused at
+// its magic, wrapping ErrCorrupt, rather than loaded: both the v1
+// layout (the body under the old magic, no checksum trailer) and a v1
+// magic in front of an otherwise intact v2 body and trailer.
 func TestLoadLegacyV1(t *testing.T) {
 	var buf bytes.Buffer
-	c := mixedCatalog(t)
-	if err := c.Save(&buf); err != nil {
+	if err := mixedCatalog(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	v2 := buf.Bytes()
-	// A v1 file is the v2 file with the old magic and no trailer.
 	v1 := bytes.Clone(v2[:len(v2)-4])
-	copy(v1, fileMagicV1[:])
-	got, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if got.Len() != c.Len() {
-		t.Fatalf("v1 load got %d relations, want %d", got.Len(), c.Len())
+	copy(v1, "DFDBM1\n\x00")
+	v1Magic := bytes.Clone(v2)
+	copy(v1Magic, "DFDBM1\n\x00")
+	for what, data := range map[string][]byte{
+		"a version-1 file":          v1,
+		"a version-1 magic on a v2": v1Magic,
+	} {
+		c, err := Load(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("Load silently succeeded on %s (%d relations)", what, c.Len())
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "not a dfdbm database file") {
+			t.Fatalf("Load error on %s = %v, want ErrCorrupt at the magic", what, err)
+		}
 	}
 }
 

@@ -31,14 +31,10 @@ import (
 // All integers are little-endian. Pages are stored in wire form, so a
 // file read back yields byte-identical relations. The trailing checksum
 // makes corruption — a torn write, a flipped bit, a truncated file —
-// detectable instead of silently loadable: recovery relies on it to
-// pick the newest *valid* snapshot. Version-1 files (magic "DFDBM1",
-// no checksum) are still readable.
+// detectable instead of silently loadable. Files of any other version
+// are rejected.
 
-var (
-	fileMagic   = [8]byte{'D', 'F', 'D', 'B', 'M', '2', '\n', 0}
-	fileMagicV1 = [8]byte{'D', 'F', 'D', 'B', 'M', '1', '\n', 0}
-)
+var fileMagic = [8]byte{'D', 'F', 'D', 'B', 'M', '2', '\n', 0}
 
 // ErrCorrupt marks a database file that is recognizably a dfdbm file
 // but fails validation — checksum mismatch, truncation, or a
@@ -79,10 +75,9 @@ func (c *Catalog) Save(w io.Writer) error {
 	return err
 }
 
-// Load reads a catalog previously written by Save. It accepts both the
-// checksummed v2 format and legacy v1 files. Any validation failure on
-// a v2 file — bad checksum, truncation, implausible structure — is
-// reported wrapping ErrCorrupt; corruption never panics and never
+// Load reads a catalog previously written by Save. Any validation
+// failure — bad magic, bad checksum, truncation, implausible structure
+// — is reported wrapping ErrCorrupt; corruption never panics and never
 // loads silently.
 func Load(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReader(r)
@@ -90,13 +85,10 @@ func Load(r io.Reader) (*Catalog, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
 	}
-	if magic == fileMagicV1 {
-		return loadBody(br)
-	}
 	if magic != fileMagic {
 		return nil, fmt.Errorf("%w: not a dfdbm database file", ErrCorrupt)
 	}
-	// v2: the whole body must be present and must checksum correctly
+	// The whole body must be present and must checksum correctly
 	// before any of it is interpreted.
 	rest, err := io.ReadAll(br)
 	if err != nil {
@@ -124,7 +116,7 @@ func Load(r io.Reader) (*Catalog, error) {
 	return c, nil
 }
 
-// loadBody parses the relation-count-prefixed body shared by v1 and v2.
+// loadBody parses the relation-count-prefixed body.
 func loadBody(br *bufio.Reader) (*Catalog, error) {
 	n, err := readU32(br)
 	if err != nil {

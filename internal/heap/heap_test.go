@@ -278,6 +278,79 @@ func TestPoolAllPinned(t *testing.T) {
 	}
 }
 
+// TestPoolGaugesMatchSnapshot pins the incrementally kept bufpool.pinned
+// and bufpool.frames_in_use gauges to a full scan of the pool
+// (Snapshot) after every step of a pin/unpin/evict/drop sequence,
+// including double pins, installs, and dropping a file with frames
+// still pinned.
+func TestPoolGaugesMatchSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	schema := testSchema(t)
+	open := func(name string) *File {
+		hf, err := CreateFrom(filepath.Join(dir, name+".heap"), seedRelation(t, name, schema, 256, 90), SchemaHash(schema), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { hf.Close() })
+		return hf
+	}
+	a, b := open("a"), open("b") // 6 pages each
+	reg := obs.NewRegistry(0)
+	pool := NewPool(4, obs.New(nil, reg))
+
+	check := func(step string) {
+		t.Helper()
+		st := pool.Snapshot()
+		pinned, _ := reg.Gauge("bufpool.pinned")
+		inUse, _ := reg.Gauge("bufpool.frames_in_use")
+		if int(pinned) != st.Pinned || int(inUse) != st.InUse {
+			t.Fatalf("after %s: gauges pinned=%v in_use=%v, snapshot %+v", step, pinned, inUse, st)
+		}
+	}
+	pin := func(f *File, i int) {
+		t.Helper()
+		if _, err := pool.Pin(f, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pin(a, 0)
+	check("pin miss")
+	pin(a, 0)
+	check("second pin of a pinned frame")
+	pool.Unpin(a, 0, false)
+	check("unpin to one pin")
+	pin(a, 1)
+	pin(b, 0)
+	check("pins across files")
+	for i := 2; i < 6; i++ { // evicts unpinned frames as it goes
+		pin(a, i)
+		pool.Unpin(a, i, false)
+		check("scan with eviction")
+	}
+	if ev := reg.Counter("bufpool.evictions"); ev == 0 {
+		t.Fatal("sequence never evicted")
+	}
+	pg, err := b.ReadPage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Install(b, 1, pg); err != nil {
+		t.Fatal(err)
+	}
+	check("install")
+	pin(b, 1)
+	check("pin of an installed frame")
+	pool.DropFile(b) // drops b's frames, two of them still pinned
+	check("drop of a file with pinned frames")
+	pool.Unpin(a, 0, false)
+	pool.Unpin(a, 1, false)
+	check("final unpins")
+	if st := pool.Snapshot(); st.Pinned != 0 {
+		t.Fatalf("frames still pinned at the end: %+v", st)
+	}
+}
+
 func TestStoreAdoptLoadCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema(t)

@@ -20,8 +20,7 @@ import (
 
 // SchemaHash fingerprints a schema layout: FNV-1a over its rendered
 // attribute list. Two schemas hash equal iff their names, types, and
-// widths match. (wal.SchemaHash delegates here so log records and
-// heap headers agree byte-for-byte.)
+// widths match. Log records carry the same hash as heap headers.
 func SchemaHash(s *relation.Schema) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, s.String())
@@ -80,11 +79,8 @@ func (s *Store) filePath(name string) string {
 }
 
 // ManifestExists reports whether the store has a durable manifest —
-// i.e. whether heap mode has been committed in this directory.
-func (s *Store) ManifestExists() bool {
-	_, err := os.Stat(filepath.Join(s.dir, manifestName))
-	return err == nil
-}
+// i.e. whether a relation set has been committed in this directory.
+func (s *Store) ManifestExists() bool { return HasManifest(s.dir) }
 
 // manifestEntry is one relation's schema record in the manifest.
 type manifestEntry struct {
@@ -94,8 +90,8 @@ type manifestEntry struct {
 }
 
 // writeManifest atomically persists the current relation set (names
-// and schemas). It is the commit point for adopt/migration: once the
-// manifest is durable, recovery trusts heap files over snapshots.
+// and schemas). It is the commit point for adoption: once the manifest
+// is durable, recovery loads the relations from their heap files.
 func (s *Store) writeManifest(cat *catalog.Catalog) error {
 	names := cat.Names()
 	sort.Strings(names)

@@ -54,7 +54,8 @@ func TestHelperCrashServer(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-server helper: run by TestCrashRecoveryChaos only")
 	}
-	l, cat, _, err := wal.Open(dir, chaosWALOptions(os.Getenv("DFDBM_CRASH_HEAP_FRAMES")))
+	frames, _ := strconv.Atoi(os.Getenv("DFDBM_CRASH_HEAP_FRAMES"))
+	l, cat, _, err := wal.Open(dir, chaosWALOptions(frames))
 	if err != nil {
 		t.Fatalf("helper: %v", err)
 	}
@@ -76,15 +77,10 @@ func TestHelperCrashServer(t *testing.T) {
 	select {} // hold the server open until kill -9
 }
 
-// chaosWALOptions maps the helper's frames env var to WAL options:
-// empty or "0" keeps the legacy snapshot mode, anything else enables
-// heap-file storage with that buffer-pool budget.
-func chaosWALOptions(frames string) wal.Options {
-	n, _ := strconv.Atoi(frames)
-	if n <= 0 {
-		return wal.Options{}
-	}
-	return wal.Options{Heap: &wal.HeapOptions{Frames: n}}
+// chaosWALOptions sizes the crash harness's buffer pool; 0 is the
+// default budget.
+func chaosWALOptions(frames int) wal.Options {
+	return wal.Options{Heap: &wal.HeapOptions{Frames: frames}}
 }
 
 // equalCatalogs compares two catalogs as multisets per relation — the
@@ -120,7 +116,9 @@ func equalCatalogs(a, b *catalog.Catalog) (bool, string) {
 // recovers the data directory in-process, and checks the acked-prefix
 // invariant — the recovered state equals the seed plus either exactly
 // the acknowledged writes or those plus the single in-flight write
-// that reached the log before its acknowledgement was sent.
+// that reached the log before its acknowledgement was sent. The
+// default buffer pool holds the whole seed and its growth, so no page
+// is evicted: the crash catches appended pages dirty in the pool.
 func TestCrashRecoveryChaos(t *testing.T) { runCrashRecoveryChaos(t, 0) }
 
 // TestCrashRecoveryChaosHeap is the same kill -9 loop over heap-file
@@ -215,8 +213,8 @@ func runCrashRecoveryChaos(t *testing.T, heapFrames int) {
 			<-killed
 			_ = cmd.Wait()
 
-			// Cold recovery of the crashed directory, same storage mode.
-			l2, got, rv, err := wal.Open(dir, chaosWALOptions(strconv.Itoa(heapFrames)))
+			// Cold recovery of the crashed directory, same pool size.
+			l2, got, rv, err := wal.Open(dir, chaosWALOptions(heapFrames))
 			if err != nil {
 				t.Fatalf("recovery after kill -9 (acked %d): %v", acked, err)
 			}

@@ -3,11 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"dfdbm/internal/catalog"
+	"dfdbm/internal/obs"
 	"dfdbm/internal/wal"
 )
 
@@ -37,15 +37,6 @@ func openDurable(t *testing.T, dir string, opts wal.Options) (*wal.Log, *catalog
 		}
 	}
 	return l, cat
-}
-
-func countSnapshots(t *testing.T, dir string) int {
-	t.Helper()
-	m, err := filepath.Glob(filepath.Join(dir, "snap-*.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(m)
 }
 
 // TestDurableWritesRecover drives appends and a delete through a
@@ -93,8 +84,10 @@ func TestDurableWritesRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if rv.Replayed != len(writes) {
-		t.Fatalf("recovery replayed %d records, want %d", rv.Replayed, len(writes))
+	// The delete rewrote r15's heap file with its own LSN as base, so
+	// only the r14 append replays.
+	if rv.Replayed != 1 {
+		t.Fatalf("recovery replayed %d records, want 1", rv.Replayed)
 	}
 	if got := catBytes(t, cat2); !bytes.Equal(got, live) {
 		t.Fatalf("recovered catalog differs from live catalog (%d vs %d bytes)", len(got), len(live))
@@ -142,10 +135,12 @@ func TestDurableAckRequiresFsync(t *testing.T) {
 
 // TestAutoCheckpoint sets a one-byte threshold so the first durable
 // write schedules a checkpoint job; the job runs under total write
-// exclusion and must truncate the log and land a new snapshot.
+// exclusion and must reset the log's checkpoint distance and land a
+// second heap checkpoint after the seed's.
 func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	l, cat := openDurable(t, dir, wal.Options{})
+	reg := obs.NewRegistry(time.Second)
+	l, cat := openDurable(t, dir, wal.Options{Obs: obs.New(nil, reg)})
 	s := startServer(t, cat, Config{WAL: l, CheckpointEvery: 1})
 	c, err := Dial(s.Addr(), ClientConfig{})
 	if err != nil {
@@ -157,10 +152,10 @@ func TestAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for l.SizeSinceCheckpoint() != 0 || countSnapshots(t, dir) < 2 {
+	for l.SizeSinceCheckpoint() != 0 || reg.Counter("wal.checkpoints") < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-checkpoint did not run: %d bytes since checkpoint, %d snapshots",
-				l.SizeSinceCheckpoint(), countSnapshots(t, dir))
+			t.Fatalf("auto-checkpoint did not run: %d bytes since checkpoint, %d checkpoints",
+				l.SizeSinceCheckpoint(), reg.Counter("wal.checkpoints"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -173,8 +168,8 @@ func TestAutoCheckpoint(t *testing.T) {
 }
 
 // TestServerCheckpointWaits exercises the exported Checkpoint: it must
-// queue behind in-flight writes, snapshot, and return nil; the next
-// recovery then replays nothing.
+// queue behind in-flight writes, checkpoint the heap files, and return
+// nil; the next recovery then replays nothing.
 func TestServerCheckpointWaits(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openDurable(t, dir, wal.Options{})
@@ -203,6 +198,6 @@ func TestServerCheckpointWaits(t *testing.T) {
 		t.Fatalf("recovery after checkpoint replayed %d records, want 0", rv.Replayed)
 	}
 	if !bytes.Equal(catBytes(t, cat2), live) {
-		t.Fatal("snapshot recovery differs from live catalog")
+		t.Fatal("recovery from the checkpoint differs from live catalog")
 	}
 }

@@ -15,9 +15,9 @@ import (
 func BenchmarkAppend(b *testing.B) {
 	for _, pol := range []FsyncPolicy{FsyncCommit, FsyncNone} {
 		b.Run("fsync="+pol.String(), func(b *testing.B) {
-			l, _ := openSeeded(b, b.TempDir(), Options{Fsync: pol})
+			l, cat := openSeeded(b, b.TempDir(), Options{Fsync: pol})
 			defer l.Close()
-			rec := appendRecord(b, 0, 8)
+			rec := opRecord(b, cat, testOp{kind: "append", n: 8})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := l.Append(cloneRecord(rec)); err != nil {
@@ -36,9 +36,9 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, writers := range []int{1, 2, 8, 32} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
 			reg := obs.NewRegistry(time.Second)
-			l, _ := openSeeded(b, b.TempDir(), Options{Fsync: FsyncCommit, Obs: obs.New(nil, reg)})
+			l, cat := openSeeded(b, b.TempDir(), Options{Fsync: FsyncCommit, Obs: obs.New(nil, reg)})
 			defer l.Close()
-			rec := appendRecord(b, 0, 8)
+			rec := opRecord(b, cat, testOp{kind: "append", n: 8})
 			start := reg.Counter("wal.fsyncs")
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -67,13 +67,15 @@ func BenchmarkGroupCommit(b *testing.B) {
 }
 
 // BenchmarkRecovery measures cold wal.Open over a log with n records
-// past the snapshot — the replay cost a restart pays per log length.
+// past the heap files' base LSN — the replay cost a restart pays per
+// log length. The log repeats one append-pages record, so every replay
+// decodes and installs the same page images into a stable relation.
 func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			l, _ := openSeeded(b, dir, Options{Fsync: FsyncNone})
-			rec := appendRecord(b, 0, 8)
+			l, cat := openSeeded(b, dir, Options{Fsync: FsyncNone})
+			rec := opRecord(b, cat, testOp{kind: "append", n: 8})
 			for i := 0; i < n; i++ {
 				if _, err := l.Append(cloneRecord(rec)); err != nil {
 					b.Fatal(err)
@@ -97,4 +99,11 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cloneRecord copies a record so one prepared record can be logged
+// repeatedly (Append assigns each copy its own LSN).
+func cloneRecord(r *Record) *Record {
+	c := *r
+	return &c
 }

@@ -5,174 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"dfdbm/internal/catalog"
 	"dfdbm/internal/obs"
-	"dfdbm/internal/relation"
 )
 
-// heapOp is a logical write op that can be applied both to a
-// heap-backed catalog (through AppendRecord + Apply, exactly like the
-// server) and to a fully resident reference catalog. Byte-identity of
-// the two after any op sequence is the storage subsystem's core
-// invariant.
-type heapOp struct {
-	kind     string // "append" or "delete"
-	start, n int    // append: first id and tuple count
-	pred     string // delete: predicate text
-}
-
-func heapTestOps() []heapOp {
-	return []heapOp{
-		{kind: "append", start: 100, n: 5},
-		{kind: "delete", pred: "id < 2"},
-		{kind: "append", start: 200, n: 30}, // several pages
-		{kind: "delete", pred: `(id >= 200) and (id < 210)`},
-		{kind: "append", start: 300, n: 3},
-		{kind: "delete", pred: "tag = \"seed\""},
-	}
-}
-
-func buildSrc(t testing.TB, start, n int) *relation.Relation {
-	t.Helper()
-	src := relation.MustNew("src", evSchema(), 128)
-	for i := 0; i < n; i++ {
-		if err := src.Insert(relation.Tuple{relation.IntVal(int64(start + i)), relation.StringVal("wal")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return src
-}
-
-// applyHeapOp builds the op's redo record against cat's live state
-// (AppendRecord's physical images depend on the destination's current
-// page layout), logs it when l is non-nil, and applies it — the same
-// log-then-apply order the server uses.
-func applyHeapOp(t testing.TB, l *Log, cat *catalog.Catalog, op heapOp) error {
-	t.Helper()
-	var rec *Record
-	switch op.kind {
-	case "append":
-		dst, err := cat.Get("ev")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err = AppendRecord(dst, buildSrc(t, op.start, op.n))
-		if err != nil {
-			t.Fatal(err)
-		}
-	case "delete":
-		rec = &Record{Type: RecDelete, Rel: "ev", Pred: op.pred}
-	default:
-		t.Fatalf("unknown op kind %q", op.kind)
-	}
-	if l != nil {
-		if _, err := l.Append(rec); err != nil {
-			return err
-		}
-	}
-	if _, err := rec.Apply(cat); err != nil {
-		t.Fatalf("apply %s: %v", op.kind, err)
-	}
-	return nil
-}
-
-// heapPrefixStates returns resident-reference catalog Save bytes after
-// each prefix of ops.
-func heapPrefixStates(t testing.TB, ops []heapOp) [][]byte {
-	t.Helper()
-	out := make([][]byte, 0, len(ops)+1)
-	c := seedCatalog(t)
-	out = append(out, saveBytes(t, c))
-	for _, op := range ops {
-		applyHeapOp(t, nil, c, op)
-		out = append(out, saveBytes(t, c))
-	}
-	return out
-}
-
-// requirePagesEqual asserts got (heap-backed) and want (resident) hold
-// byte-identical pages — the "identical to in-memory Relation by
-// construction" contract, checked at the marshalled-page level so slot
-// layout drift cannot hide behind tuple-level equality.
-func requirePagesEqual(t testing.TB, got, want *relation.Relation) {
-	t.Helper()
-	if got.NumPages() != want.NumPages() {
-		t.Fatalf("page count %d, want %d", got.NumPages(), want.NumPages())
-	}
-	if got.Cardinality() != want.Cardinality() {
-		t.Fatalf("cardinality %d, want %d", got.Cardinality(), want.Cardinality())
-	}
-	for i := 0; i < want.NumPages(); i++ {
-		gp, err := got.CopyPage(i)
-		if err != nil {
-			t.Fatalf("page %d: %v", i, err)
-		}
-		if !bytes.Equal(gp.Marshal(), want.Page(i).Marshal()) {
-			t.Fatalf("page %d differs between heap file and resident reference", i)
-		}
-	}
-}
-
-func heapOptions(frames int) Options {
-	return Options{Heap: &HeapOptions{Frames: frames}}
-}
-
-func TestHeapRoundtripRecovery(t *testing.T) {
-	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, heapOptions(4))
-	ops := heapTestOps()
-	states := heapPrefixStates(t, ops)
-	for _, op := range ops {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rel, err := cat.Get("ev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rel.Stored() {
-		t.Fatal("checkpointed relation is not heap-backed")
-	}
-	if got := saveBytes(t, cat); !bytes.Equal(got, states[len(ops)]) {
-		t.Fatal("live heap-backed catalog differs from resident reference")
-	}
-	lastLSN := l.LastLSN()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Close does not flush dirty frames: reopening is a genuine
-	// recovery, replaying the log tail into the heap file.
-	l2, cat2, rv, err := Open(dir, heapOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if rv.Fresh {
-		t.Fatal("heap recovery reported a fresh directory")
-	}
-	if rv.Snapshot != "heap" {
-		t.Fatalf("recovery base %q, want \"heap\"", rv.Snapshot)
-	}
-	if l2.LastLSN() != lastLSN {
-		t.Fatalf("recovered LastLSN %d, want %d", l2.LastLSN(), lastLSN)
-	}
-	if got := saveBytes(t, cat2); !bytes.Equal(got, states[len(ops)]) {
-		t.Fatal("recovered heap catalog is not byte-identical to the reference")
-	}
-	ref := seedCatalog(t)
-	for _, op := range ops {
-		applyHeapOp(t, nil, ref, op)
-	}
-	wantRel, _ := ref.Get("ev")
-	gotRel, _ := cat2.Get("ev")
-	requirePagesEqual(t, gotRel, wantRel)
-}
+// TestHeapRoundtripRecovery is the round trip through a 4-frame pool,
+// so replay installs pages through eviction and write-back.
+func TestHeapRoundtripRecovery(t *testing.T) { runRoundtripRecovery(t, 4) }
 
 // TestHeapCheckpointSkipsReplay pins the per-relation base-LSN skip: a
 // checkpoint advances the heap file's recovery horizon, so reopening
@@ -180,9 +21,9 @@ func TestHeapRoundtripRecovery(t *testing.T) {
 func TestHeapCheckpointSkipsReplay(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, heapOptions(4))
-	ops := heapTestOps()
+	ops := testOps()
 	for i, op := range ops {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 		if i == 2 {
@@ -208,141 +49,9 @@ func TestHeapCheckpointSkipsReplay(t *testing.T) {
 	}
 }
 
-// TestHeapMigration opens a snapshot-mode data directory in heap mode
-// and expects a one-shot migration: relations adopted into heap files,
-// manifest committed, snapshot files removed, state unchanged.
-func TestHeapMigration(t *testing.T) {
-	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, Options{}) // snapshot mode
-	ops := heapTestOps()
-	for _, op := range ops {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := saveBytes(t, cat)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, cat2, rv, err := Open(dir, heapOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := saveBytes(t, cat2); !bytes.Equal(got, want) {
-		t.Fatal("migrated catalog differs from pre-migration state")
-	}
-	if rv.Fresh {
-		t.Fatal("migration reported fresh")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "heap", "manifest")); err != nil {
-		t.Fatalf("no heap manifest after migration: %v", err)
-	}
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 0 {
-		t.Fatalf("%d snapshot files survive migration, want 0", len(snaps))
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second heap open starts from the migrated manifest: no replay.
-	l3, cat3, rv3, err := Open(dir, heapOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l3.Close()
-	if rv3.Replayed != 0 {
-		t.Fatalf("replayed %d records after migration checkpoint, want 0", rv3.Replayed)
-	}
-	if got := saveBytes(t, cat3); !bytes.Equal(got, want) {
-		t.Fatal("post-migration reopen differs")
-	}
-}
-
-// TestHeapCrashPointMatrix walks the crash injector across every log
-// write and fsync of the op sequence in heap mode, including torn
-// writes, and asserts recovery always lands on the acked prefix (or
-// the acked prefix plus the single durable-but-unacked in-flight
-// record).
-func TestHeapCrashPointMatrix(t *testing.T) {
-	ops := heapTestOps()
-	states := heapPrefixStates(t, ops)
-
-	type point struct {
-		name string
-		inj  *Injector
-	}
-	var points []point
-	for n := int64(1); n <= int64(len(ops))+1; n++ {
-		points = append(points,
-			point{fmt.Sprintf("write%d-fail", n), &Injector{FailWrite: n}},
-			point{fmt.Sprintf("write%d-torn", n), &Injector{FailWrite: n, Torn: true}},
-		)
-	}
-	for n := int64(1); n <= int64(len(ops))+1; n++ {
-		points = append(points, point{fmt.Sprintf("sync%d-fail", n), &Injector{FailSync: n}})
-	}
-
-	for _, pt := range points {
-		t.Run(pt.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := heapOptions(4)
-			opts.Injector = pt.inj
-			l, _, rv, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rv.Fresh {
-				t.Fatal("expected fresh directory")
-			}
-			cat := seedCatalog(t)
-			acked := 0
-			crashed := false
-			if err := l.Checkpoint(cat); err != nil {
-				if !Injected(err) {
-					t.Fatalf("checkpoint failed for a non-injected reason: %v", err)
-				}
-				crashed = true
-			}
-			if !crashed {
-				for _, op := range ops {
-					if err := applyHeapOp(t, l, cat, op); err != nil {
-						if !Injected(err) {
-							t.Fatalf("append failed for a non-injected reason: %v", err)
-						}
-						crashed = true
-						break
-					}
-					acked++
-				}
-			}
-			if !crashed && acked == len(ops) {
-				t.Fatal("injector never fired; crash point out of range")
-			}
-			l.Close()
-
-			_, cat2, rv2, err := Open(dir, heapOptions(4))
-			if err != nil {
-				t.Fatalf("recovery failed: %v", err)
-			}
-			if rv2.Fresh {
-				if acked != 0 {
-					t.Fatalf("fresh recovery but %d writes were acked", acked)
-				}
-				return
-			}
-			got := saveBytes(t, cat2)
-			if !bytes.Equal(got, states[acked]) &&
-				(acked+1 >= len(states) || !bytes.Equal(got, states[acked+1])) {
-				t.Fatalf("recovered state is not the acked prefix (%d acked): %s", acked, rv2)
-			}
-		})
-	}
-}
+// TestHeapCrashPointMatrix is the crash-point walk through a 4-frame
+// pool, so crashes land while eviction write-backs are in flight.
+func TestHeapCrashPointMatrix(t *testing.T) { runCrashPointMatrix(t, 4) }
 
 // TestHeapPropertyShadow is the randomized storage property test: a
 // heap-backed catalog behind a 4-frame buffer pool (well below the
@@ -360,14 +69,14 @@ func TestHeapPropertyShadow(t *testing.T) {
 
 	next := 1000
 	for i := 0; i < opsN; i++ {
-		var op heapOp
+		var op testOp
 		switch k := rng.Intn(10); {
 		case k < 5: // append 1..40 tuples
-			op = heapOp{kind: "append", start: next, n: 1 + rng.Intn(40)}
+			op = testOp{kind: "append", start: next, n: 1 + rng.Intn(40)}
 			next += op.n
 		case k < 7: // range delete
 			lo := rng.Intn(next)
-			op = heapOp{kind: "delete", pred: fmt.Sprintf("(id >= %d) and (id < %d)", lo, lo+1+rng.Intn(50))}
+			op = testOp{kind: "delete", pred: fmt.Sprintf("(id >= %d) and (id < %d)", lo, lo+1+rng.Intn(50))}
 		case k < 8: // checkpoint mid-stream
 			if err := l.Checkpoint(cat); err != nil {
 				t.Fatal(err)
@@ -379,10 +88,10 @@ func TestHeapPropertyShadow(t *testing.T) {
 			requirePagesEqual(t, rel, want)
 			continue
 		}
-		if err := applyHeapOp(t, l, cat, op); err != nil {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
-		applyHeapOp(t, nil, shadow, op)
+		applyReference(t, shadow, op)
 
 		rel, _ := cat.Get("ev")
 		want, _ := shadow.Get("ev")
@@ -418,11 +127,11 @@ func TestHeapEvictionPressure(t *testing.T) {
 
 	shadow := seedCatalog(t)
 	for i := 0; i < 6; i++ {
-		op := heapOp{kind: "append", start: 1000 + 100*i, n: 30}
-		if err := applyHeapOp(t, l, cat, op); err != nil {
+		op := testOp{kind: "append", start: 1000 + 100*i, n: 30}
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
-		applyHeapOp(t, nil, shadow, op)
+		applyReference(t, shadow, op)
 	}
 	rel, _ := cat.Get("ev")
 	if rel.NumPages() <= 2 {
@@ -444,8 +153,8 @@ func TestHeapEvictionPressure(t *testing.T) {
 func TestHeapInspectAudit(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, heapOptions(4))
-	for _, op := range heapTestOps() {
-		if err := applyHeapOp(t, l, cat, op); err != nil {
+	for _, op := range testOps() {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,18 +1,19 @@
 // Package wal implements the write-ahead log that makes the dfdbm
 // service's write path crash-safe: a segmented, CRC-32C-framed redo
-// log with group commit, atomic catalog snapshots, and kill -9
-// recovery. It is the durability spine of the paper's three-level
-// storage hierarchy — relations still execute from IC memory, but
-// every acknowledged append/delete is durable on mass storage before
-// the acknowledgement leaves the server.
+// log with group commit over heap-file storage, and kill -9 recovery.
+// It is the durability spine of the paper's three-level storage
+// hierarchy — each relation lives in its own heap file behind a
+// pinning buffer pool (internal/heap), and every acknowledged
+// append/delete is durable on mass storage before the acknowledgement
+// leaves the server.
 //
-// Records are logical-with-payload: an Append record carries the
-// destination relation, a schema hash, and the appended tuples as page
-// blobs; a Delete record carries the target relation and the predicate
-// text (replay is deterministic given prior state); a Checkpoint
-// record references an atomically written catalog snapshot. Recovery
-// loads the newest valid snapshot, replays the log tail in LSN order,
-// and truncates a torn tail at the first bad CRC instead of failing.
+// An Append-Pages record carries full post-images of the destination
+// pages an append touches; a Delete record carries the target relation
+// and the predicate text (replay is deterministic given prior state);
+// a Checkpoint record marks the point up to which every heap file was
+// flushed and its base LSN advanced. Recovery opens the heap files,
+// replays each file's uncovered log tail in LSN order, and truncates a
+// torn tail at the first bad CRC instead of failing.
 package wal
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"dfdbm/internal/catalog"
 	"dfdbm/internal/heap"
@@ -32,36 +34,31 @@ import (
 // RecordType identifies what a log record redoes.
 type RecordType uint8
 
-// Record types.
+// Record types. The numbers are part of the on-disk format; 1 was a
+// logical tuple-append record whose writers are gone, and the decoder
+// now rejects it as an unknown type.
 const (
-	// RecAppend redoes an append: insert the carried page payload's
-	// tuples into the named relation, in order.
-	RecAppend RecordType = iota + 1
 	// RecDelete redoes a delete: remove the tuples matching the
-	// carried predicate text from the named relation and compact it.
-	RecDelete
-	// RecCheckpoint marks a consistent catalog snapshot: every record
-	// at or below CoverLSN is reflected in the referenced snapshot
-	// file, so recovery may start there. In heap mode the snapshot
-	// name is the literal "heap" and the durable state lives in the
-	// per-relation heap files' base LSNs.
+	// carried predicate text from the named relation and rewrite its
+	// heap file.
+	RecDelete RecordType = iota + 2
+	// RecCheckpoint marks a checkpoint: every heap file was flushed
+	// and its base LSN advanced to CoverLSN. Its Snapshot field is the
+	// literal "heap".
 	RecCheckpoint
 	// RecAppendPages redoes an append physically: overwrite (or
 	// extend) the named relation's pages starting at slot First with
-	// the carried full-page post-images. Heap-backed relations log
-	// appends this way because eviction write-backs mutate slots in
-	// place — a torn slot write can damage pre-append tuples that
-	// logical redo could not rebuild, whereas re-installing the whole
-	// post-image repairs the slot no matter where it tore. Replay is
-	// idempotent by construction.
+	// the carried full-page post-images. Eviction write-backs mutate
+	// heap slots in place, so a torn slot write can damage pre-append
+	// tuples that logical redo could not rebuild; re-installing the
+	// whole post-image repairs the slot no matter where it tore.
+	// Replay is idempotent by construction.
 	RecAppendPages
 )
 
 // String returns the lower-case record-type name.
 func (t RecordType) String() string {
 	switch t {
-	case RecAppend:
-		return "append"
 	case RecDelete:
 		return "delete"
 	case RecCheckpoint:
@@ -80,6 +77,12 @@ func (t RecordType) String() string {
 // else surfaces as ErrCorrupt.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// errUndecodable marks a frame whose checksum matched but whose payload
+// does not decode (an unknown record type, say). A torn write cannot
+// produce a matching checksum, so recovery never truncates such a
+// record as a torn tail.
+var errUndecodable = errors.New("wal: checksummed record does not decode")
+
 // Record is one redo-log record.
 type Record struct {
 	// LSN is the record's log sequence number, assigned by Append.
@@ -88,15 +91,14 @@ type Record struct {
 	LSN uint64
 	// Type says which of the remaining fields are meaningful.
 	Type RecordType
-	// Rel names the written relation (RecAppend, RecDelete).
+	// Rel names the written relation (RecAppendPages, RecDelete).
 	Rel string
 	// SchemaHash fingerprints the destination schema at log time
-	// (RecAppend); replay refuses a drifted schema rather than
+	// (RecAppendPages); replay refuses a drifted schema rather than
 	// corrupting tuples.
 	SchemaHash uint64
-	// Pages is the appended payload in relation.Page wire form
-	// (RecAppend), or full post-image pages starting at slot First
-	// (RecAppendPages).
+	// Pages holds full post-image pages in relation.Page wire form,
+	// starting at slot First (RecAppendPages).
 	Pages [][]byte
 	// First is the index of the first page slot the post-images in
 	// Pages overwrite or extend (RecAppendPages).
@@ -104,26 +106,16 @@ type Record struct {
 	// Pred is the delete predicate in the query language's surface
 	// syntax (RecDelete); replay re-parses it.
 	Pred string
-	// Snapshot names the catalog snapshot file and CoverLSN the
-	// highest LSN it reflects (RecCheckpoint).
+	// Snapshot names the checkpoint's durable base (always "heap")
+	// and CoverLSN the highest LSN it reflects (RecCheckpoint).
 	Snapshot string
 	CoverLSN uint64
-}
-
-// SchemaHash fingerprints a schema layout: FNV-1a over its rendered
-// attribute list. Two schemas hash equal iff their names, types, and
-// widths match. Delegates to heap.SchemaHash so log records and heap
-// file headers agree byte-for-byte.
-func SchemaHash(s *relation.Schema) uint64 {
-	return heap.SchemaHash(s)
 }
 
 // Summary renders the record's logical operation for logs and the
 // inspect subcommand.
 func (r *Record) Summary() string {
 	switch r.Type {
-	case RecAppend:
-		return fmt.Sprintf("append(%s, <%d pages>)", r.Rel, len(r.Pages))
 	case RecDelete:
 		return fmt.Sprintf("delete(%s, %s)", r.Rel, r.Pred)
 	case RecCheckpoint:
@@ -141,42 +133,12 @@ func (r *Record) Summary() string {
 // reproduces exactly the state the live writes built.
 func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 	switch r.Type {
-	case RecAppend:
-		dst, err := cat.Get(r.Rel)
-		if err != nil {
-			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
-		}
-		if got := SchemaHash(dst.Schema()); got != r.SchemaHash {
-			return nil, fmt.Errorf("%w: lsn %d: schema of %q drifted (hash %016x, logged %016x)",
-				ErrCorrupt, r.LSN, r.Rel, got, r.SchemaHash)
-		}
-		for i, blob := range r.Pages {
-			pg, err := relation.UnmarshalPage(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: lsn %d: page %d: %v", ErrCorrupt, r.LSN, i, err)
-			}
-			if pg.TupleLen() != dst.Schema().TupleLen() {
-				return nil, fmt.Errorf("%w: lsn %d: page %d tuple length %d does not match %q",
-					ErrCorrupt, r.LSN, i, pg.TupleLen(), r.Rel)
-			}
-			var insertErr error
-			pg.EachRaw(func(raw []byte) bool {
-				insertErr = dst.InsertRaw(raw)
-				return insertErr == nil
-			})
-			if insertErr != nil {
-				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, insertErr)
-			}
-		}
-		cat.Touch(r.Rel)
-		return dst, nil
-
 	case RecAppendPages:
 		dst, err := cat.Get(r.Rel)
 		if err != nil {
 			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
 		}
-		if got := SchemaHash(dst.Schema()); got != r.SchemaHash {
+		if got := heap.SchemaHash(dst.Schema()); got != r.SchemaHash {
 			return nil, fmt.Errorf("%w: lsn %d: schema of %q drifted (hash %016x, logged %016x)",
 				ErrCorrupt, r.LSN, r.Rel, got, r.SchemaHash)
 		}
@@ -205,24 +167,19 @@ func (r *Record) Apply(cat *catalog.Catalog) (*relation.Relation, error) {
 		if err != nil || root.Kind != query.OpDelete {
 			return nil, fmt.Errorf("%w: lsn %d: unreplayable delete predicate %q: %v", ErrCorrupt, r.LSN, r.Pred, err)
 		}
-		if target.Stored() {
-			// Stored relations delete by copy-and-swap: materialize,
-			// delete in memory, atomically rewrite the heap file with
-			// base LSN = this record's LSN. Replay after a crash either
-			// sees the old file (baseLSN < LSN, record re-applies) or
-			// the new one (baseLSN >= LSN, record is skipped) — the
-			// rename is the atomic commit.
-			resident, err := target.Materialize()
-			if err != nil {
-				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
-			}
-			if _, err := relalg.Delete(resident, root.Pred); err != nil {
-				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
-			}
-			if err := target.ReplaceStored(resident, r.LSN); err != nil {
-				return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
-			}
-		} else if _, err := relalg.Delete(target, root.Pred); err != nil {
+		// Delete by copy-and-swap: materialize, delete in memory,
+		// atomically rewrite the heap file with base LSN = this record's
+		// LSN. Replay after a crash either sees the old file (baseLSN <
+		// LSN, record re-applies) or the new one (baseLSN >= LSN, record
+		// is skipped) — the rename is the atomic commit.
+		resident, err := target.Materialize()
+		if err != nil {
+			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
+		}
+		if _, err := relalg.Delete(resident, root.Pred); err != nil {
+			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
+		}
+		if err := target.ReplaceStored(resident, r.LSN); err != nil {
 			return nil, fmt.Errorf("wal: apply lsn %d: %w", r.LSN, err)
 		}
 		cat.Touch(r.Rel)
@@ -257,12 +214,10 @@ func encode(r *Record) []byte {
 	buf = append(buf, byte(r.Type))
 	buf = binary.LittleEndian.AppendUint64(buf, r.LSN)
 	switch r.Type {
-	case RecAppend, RecAppendPages:
+	case RecAppendPages:
 		buf = appendString(buf, r.Rel)
 		buf = binary.LittleEndian.AppendUint64(buf, r.SchemaHash)
-		if r.Type == RecAppendPages {
-			buf = binary.LittleEndian.AppendUint64(buf, r.First)
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, r.First)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Pages)))
 		for _, b := range r.Pages {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
@@ -298,8 +253,8 @@ func readRecord(r io.Reader) (*Record, int64, error) {
 	if plen == 0 || plen > maxRecordLen {
 		return nil, 0, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(plen))
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: torn record payload: %v", ErrCorrupt, err)
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != want {
@@ -307,21 +262,37 @@ func readRecord(r io.Reader) (*Record, int64, error) {
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("%w: %w", errUndecodable, err)
 	}
 	return rec, int64(frameHeaderLen) + int64(plen), nil
+}
+
+// readPayload reads exactly n bytes from r. The buffer grows (doubling
+// from 64 KiB) only as bytes arrive, so a corrupt length field costs
+// memory in proportion to the input, not up to maxRecordLen.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 64<<10))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func decodePayload(p []byte) (*Record, error) {
 	d := &decoder{buf: p}
 	rec := &Record{Type: RecordType(d.u8()), LSN: d.u64()}
 	switch rec.Type {
-	case RecAppend, RecAppendPages:
+	case RecAppendPages:
 		rec.Rel = d.str()
 		rec.SchemaHash = d.u64()
-		if rec.Type == RecAppendPages {
-			rec.First = d.u64()
-		}
+		rec.First = d.u64()
 		n := d.u32()
 		if int64(n) > int64(len(p)) { // cheaper than per-page checks; each page needs >= 1 byte
 			return nil, fmt.Errorf("%w: implausible page count %d", ErrCorrupt, n)

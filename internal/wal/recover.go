@@ -18,18 +18,13 @@ import (
 // Recovery describes what Open found and did to bring the data
 // directory back to a consistent state.
 type Recovery struct {
-	// Fresh is true when the directory held no snapshot and no log:
-	// Open returned a nil catalog for the caller to seed.
+	// Fresh is true when the directory held no heap manifest and no
+	// log record: Open returned a nil catalog for the caller to seed.
 	Fresh bool
-	// Snapshot is the snapshot file recovery started from ("" when the
-	// catalog was rebuilt from the log alone), covering every record up
-	// to SnapshotLSN.
-	Snapshot    string
-	SnapshotLSN uint64
-	// SkippedSnapshots counts newer snapshots that failed validation
-	// (torn or corrupt) and were passed over for an older one.
-	SkippedSnapshots int
-	// Replayed counts log records re-applied on top of the snapshot.
+	// BaseLSN is the oldest heap file's base LSN: every record up to
+	// it was already reflected in the files, so replay started after.
+	BaseLSN uint64
+	// Replayed counts log records re-applied on top of the heap files.
 	Replayed int
 	// TornTail is true when the last segment ended in a torn or corrupt
 	// record that was truncated away; TruncatedBytes is how much was
@@ -54,34 +49,38 @@ func (rv Recovery) String() string {
 	if rv.Fresh {
 		return "fresh data directory"
 	}
-	s := fmt.Sprintf("recovered to LSN %d: snapshot %q (covers %d), %d records replayed",
-		rv.LastLSN, rv.Snapshot, rv.SnapshotLSN, rv.Replayed)
+	s := fmt.Sprintf("recovered to LSN %d: heap files (base LSN %d), %d records replayed",
+		rv.LastLSN, rv.BaseLSN, rv.Replayed)
 	if rv.TornTail {
 		s += fmt.Sprintf(", torn tail truncated (%d bytes)", rv.TruncatedBytes)
-	}
-	if rv.SkippedSnapshots > 0 {
-		s += fmt.Sprintf(", %d corrupt snapshots skipped", rv.SkippedSnapshots)
 	}
 	return s
 }
 
 // Open opens (creating if necessary) the data directory, recovers the
-// catalog from the newest valid snapshot plus the log tail, and
-// returns the log ready for appending. On a fresh directory the
-// returned catalog is nil and Recovery.Fresh is true: the caller seeds
-// a catalog and calls Checkpoint to establish the first snapshot.
+// catalog from its heap files plus the log tail, and returns the log
+// ready for appending. On a fresh directory — no heap manifest and no
+// log record, including one whose first initialisation was interrupted
+// before its seed checkpoint — the returned catalog is nil and
+// Recovery.Fresh is true: the caller seeds a catalog and calls
+// Checkpoint to commit it to heap files.
 //
-// Recovery applies the redo rule: load the newest snapshot that is
-// both valid (checksummed) and coverable (the log still holds every
-// record after it), then replay records with LSN beyond its cover in
+// Recovery applies the redo rule per relation: each heap file covers
+// the log up to its own base LSN, so records past it are replayed in
 // order. A torn or corrupt record at the very end of the last segment
 // is truncated away — it is the unacknowledged write the crash
 // interrupted. Corruption anywhere else is a hard ErrCorrupt: the log
 // no longer proves what was acknowledged, and refusing to serve beats
-// silently dropping acked writes.
+// silently dropping acked writes. For the same reason Open refuses,
+// without touching anything, a directory it cannot read: log records
+// with no heap manifest to replay them onto, or a catalog checkpoint
+// file (*.db) left by the retired whole-catalog snapshot layout.
 func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
+	if err := refuseSnapshotLayout(dir); err != nil {
+		return nil, nil, Recovery{}, err
+	}
 	walDir := filepath.Join(dir, "wal")
 	if err := os.MkdirAll(walDir, 0o755); err != nil {
 		return nil, nil, Recovery{}, err
@@ -108,7 +107,6 @@ func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 		if rv.TornTail {
 			reg.Inc("wal.torn_tail_truncations", 1)
 		}
-		reg.Inc("wal.snapshots_skipped", int64(rv.SkippedSnapshots))
 		reg.Histogram("wal.recovery_ns", obs.DurationBuckets()).ObserveDuration(rv.Elapsed)
 	}
 
@@ -116,33 +114,48 @@ func Open(dir string, opts Options) (*Log, *catalog.Catalog, Recovery, error) {
 	return l, cat, rv, nil
 }
 
-// recover scans snapshots and segments, repairs the tail, replays, and
-// leaves l positioned to append (seg open, lsn set).
-//
-// In heap mode (Options.Heap) the recovery base is the heap store
-// itself: when a manifest exists the catalog loads from the heap
-// files and replay applies only records past each relation's own base
-// LSN (deletes advance a single file's base, so the horizon is per
-// relation, not global). When no manifest exists yet, the directory
-// is a snapshot-engine layout (or brand new): normal snapshot
-// recovery rebuilds the resident catalog, which is then migrated —
-// every relation adopted into a heap file, the manifest written as
-// the atomic commit, and only then the obsolete snapshots removed.
-func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
-	var rv Recovery
-
-	if l.opts.Heap != nil {
-		hs, err := heap.OpenStore(filepath.Join(l.dir, "heap"), l.opts.Heap.Frames, l.opts.Obs)
-		if err != nil {
-			return rv, nil, err
-		}
-		l.heap = hs
-	}
-
-	segs, err := listSeq(l.walDir, segPrefix, segSuffix)
+// recover opens the heap store, repairs the log tail, replays, and
+// leaves l positioned to append (seg open, lsn set). The heap files
+// are the recovery base: the catalog loads from them and replay
+// applies only records past each relation's own base LSN (deletes
+// advance a single file's base, so the horizon is per relation, not
+// global).
+func (l *Log) recover() (rv Recovery, cat *catalog.Catalog, err error) {
+	segs, err := listSegments(l.walDir)
 	if err != nil {
 		return rv, nil, err
 	}
+	heapDir := filepath.Join(l.dir, "heap")
+	fresh := !heap.HasManifest(heapDir)
+	if fresh {
+		// No recovery base. Only a log with no record in it is a fresh
+		// directory (one whose initialisation never reached its seed
+		// checkpoint).
+		if err := requireNoRecords(segs); err != nil {
+			return rv, nil, err
+		}
+	}
+	hs, err := heap.OpenStore(heapDir, l.opts.Heap.frames(), l.opts.Obs)
+	if err != nil {
+		return rv, nil, err
+	}
+	l.heap = hs
+	defer func() {
+		if err != nil {
+			hs.Close()
+		}
+	}()
+	if fresh {
+		// The record-less segments are discarded.
+		for _, sf := range segs {
+			if err := os.Remove(sf.path); err != nil {
+				return rv, nil, err
+			}
+		}
+		rv.Fresh = true
+		return rv, nil, l.openSegment(1)
+	}
+
 	// A trailing segment without a durable header is a crash during
 	// rotation: openSegment fsyncs the header before any record is
 	// written, so nothing acknowledged can live there. Drop it. (Only
@@ -164,94 +177,32 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 		segs = segs[:len(segs)-1]
 	}
 
-	snaps, err := listSeq(l.dir, snapPrefix, snapSuffix)
+	// Replay must reach back to the oldest per-relation base LSN; a
+	// later-starting log has lost acknowledged records.
+	cat, err = l.heap.LoadCatalog()
 	if err != nil {
 		return rv, nil, err
 	}
-
-	heapBase := l.heap != nil && l.heap.ManifestExists()
-
-	if len(segs) == 0 && len(snaps) == 0 && !heapBase {
-		rv.Fresh = true
-		if err := l.openSegment(1); err != nil {
-			return rv, nil, err
-		}
-		return rv, nil, nil
+	rv.BaseLSN = l.heap.MinBaseLSN()
+	if len(segs) > 0 && segs[0].lsn > rv.BaseLSN+1 {
+		return rv, nil, fmt.Errorf("%w: log starts at LSN %d but heap files only cover LSN %d",
+			ErrCorrupt, segs[0].lsn, rv.BaseLSN)
 	}
-
-	var cat *catalog.Catalog
-	var shouldApply func(*Record) bool
-	lastLSN := uint64(0)
-	if heapBase {
-		// The heap files are the recovery base. Replay must reach back
-		// to the oldest per-relation base LSN; a later-starting log has
-		// lost acknowledged records.
-		cat, err = l.heap.LoadCatalog()
+	shouldApply := func(rec *Record) bool {
+		if rec.Type == RecCheckpoint {
+			return false
+		}
+		rel, err := cat.Get(rec.Rel)
 		if err != nil {
-			return rv, nil, err
+			return true // let Apply surface the unknown-relation error
 		}
-		minBase := l.heap.MinBaseLSN()
-		if len(segs) > 0 && segs[0].lsn > minBase+1 {
-			return rv, nil, fmt.Errorf("%w: log starts at LSN %d but heap files only cover LSN %d",
-				ErrCorrupt, segs[0].lsn, minBase)
-		}
-		rv.Snapshot = heapCheckpointName
-		rv.SnapshotLSN = minBase
-		lastLSN = l.heap.MaxBaseLSN()
-		shouldApply = func(rec *Record) bool {
-			if rec.Type == RecCheckpoint {
-				return false
-			}
-			rel, err := cat.Get(rec.Rel)
-			if err != nil {
-				return true // let Apply surface the unknown-relation error
-			}
-			// Per-relation horizon: a delete's atomic file rewrite
-			// advances one file's base past the global checkpoint cover.
-			return rec.LSN > rel.StoreBaseLSN()
-		}
-	} else {
-		// Pick the newest snapshot that loads cleanly AND whose cover
-		// reaches back to the log: with dense LSNs, replay can continue
-		// from a snapshot covering C iff some surviving segment starts at
-		// or below C+1 (or the log is empty entirely).
-		for i := len(snaps) - 1; i >= 0; i-- {
-			sn := snaps[i]
-			if len(segs) > 0 && segs[0].lsn > sn.lsn+1 {
-				// The records between this snapshot and the log's start were
-				// pruned on the authority of a newer snapshot; this one
-				// cannot seed a complete replay.
-				break
-			}
-			c, lerr := catalog.LoadFile(sn.path)
-			if lerr != nil {
-				if errors.Is(lerr, catalog.ErrCorrupt) {
-					rv.SkippedSnapshots++
-					continue
-				}
-				return rv, nil, lerr
-			}
-			cat = c
-			rv.Snapshot = filepath.Base(sn.path)
-			rv.SnapshotLSN = sn.lsn
-			break
-		}
-		if cat == nil {
-			if len(segs) == 0 || segs[0].lsn != 1 {
-				return rv, nil, fmt.Errorf("%w: no usable snapshot and log does not start at LSN 1", ErrCorrupt)
-			}
-			// Rebuild from nothing: replay the whole log into an empty
-			// catalog. Only correct when the log begins at LSN 1.
-			cat = catalog.New()
-		}
-		lastLSN = rv.SnapshotLSN
-		cover := rv.SnapshotLSN
-		shouldApply = func(rec *Record) bool {
-			return rec.LSN > cover && rec.Type != RecCheckpoint
-		}
+		// Per-relation horizon: a delete's atomic file rewrite
+		// advances one file's base past the global checkpoint cover.
+		return rec.LSN > rel.StoreBaseLSN()
 	}
 
 	// Scan and replay every segment, repairing the last one's tail.
+	lastLSN := l.heap.MaxBaseLSN()
 	expect := uint64(0) // next LSN the log must present; 0 = not yet known
 	for i, sf := range segs {
 		isLast := i == len(segs)-1
@@ -273,29 +224,6 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 	}
 	rv.LastLSN = lastLSN
 	l.lsn = lastLSN
-	l.ckptLSN.Store(rv.SnapshotLSN)
-
-	if l.heap != nil && !heapBase {
-		// Migrate the snapshot-era directory to heap files. Ordering is
-		// the crash safety: adopt every relation into a durable heap
-		// file at base LSN lastLSN, commit the set by writing the
-		// manifest atomically, and only then drop the snapshots. A crash
-		// before the manifest lands replays this same migration; after,
-		// recovery trusts the heap files.
-		if err := l.heap.Checkpoint(cat, lastLSN); err != nil {
-			return rv, nil, fmt.Errorf("wal: heap migration: %w", err)
-		}
-		for _, sn := range snaps {
-			if err := os.Remove(sn.path); err != nil {
-				return rv, nil, err
-			}
-		}
-		if err := catalog.SyncDir(l.dir); err != nil {
-			return rv, nil, err
-		}
-		l.ckptGen.Store(cat.Generation())
-		l.ckptLSN.Store(lastLSN)
-	}
 
 	// Resume appending: reuse the last segment if one survived with
 	// room, else start a new one right after the recovered tail.
@@ -316,10 +244,42 @@ func (l *Log) recover() (Recovery, *catalog.Catalog, error) {
 			return rv, cat, nil
 		}
 	}
-	if err := l.openSegment(lastLSN + 1); err != nil {
-		return rv, nil, err
+	return rv, cat, l.openSegment(lastLSN + 1)
+}
+
+// refuseSnapshotLayout fails with ErrCorrupt when dir holds a catalog
+// checkpoint file (*.db) of the retired whole-catalog snapshot layout.
+// Its state lives in that file, which heap-only recovery does not
+// read, so serving the directory would silently drop it.
+func refuseSnapshotLayout(dir string) error {
+	found, err := filepath.Glob(filepath.Join(dir, "*.db"))
+	if err != nil || len(found) == 0 {
+		return err
 	}
-	return rv, cat, nil
+	return fmt.Errorf("%w: %s holds catalog checkpoint %s of the retired snapshot layout; heap-file recovery cannot read it",
+		ErrCorrupt, dir, filepath.Base(found[0]))
+}
+
+// requireNoRecords fails with ErrCorrupt when any segment holds a
+// decodable record, or a segment other than the last fails validation:
+// without a heap manifest those records have nothing to replay onto.
+// It only reads.
+func requireNoRecords(segs []seqFile) error {
+	expect := uint64(0)
+	for i, sf := range segs {
+		si, err := inspectSegment(sf, &expect, nil)
+		if err != nil {
+			return err
+		}
+		if si.Records > 0 {
+			return fmt.Errorf("%w: segment %s holds records from LSN %d but there is no heap manifest to replay them onto",
+				ErrCorrupt, si.Name, si.FirstLSN)
+		}
+		if si.Err != "" && i < len(segs)-1 {
+			return fmt.Errorf("%w: segment %s: %s", ErrCorrupt, si.Name, si.Err)
+		}
+	}
+	return nil
 }
 
 // segScan is the result of replaying (or inspecting) one segment.
@@ -399,7 +359,7 @@ func replaySegment(sf seqFile, isLast bool, cat *catalog.Catalog, shouldApply fu
 			return res, nil
 		}
 		if err != nil {
-			if isLast {
+			if isLast && !errors.Is(err, errUndecodable) {
 				res.truncatedAt = off
 				return res, nil
 			}
@@ -480,37 +440,22 @@ type SegmentInfo struct {
 	Err string
 }
 
-// SnapshotInfo describes one catalog snapshot for inspection.
-type SnapshotInfo struct {
-	Name     string
-	CoverLSN uint64
-	Bytes    int64
-	// Err is the validation failure ("" when the snapshot loads).
-	Err string
-}
-
 // Report is what Inspect finds in a data directory.
 type Report struct {
-	Segments  []SegmentInfo
-	Snapshots []SnapshotInfo
-	// Heap holds the per-relation heap-file audits when the directory
-	// runs heap-file storage (header CRCs, slot checksums, geometry vs
-	// manifest, on-disk sizes). Empty in snapshot mode.
+	Segments []SegmentInfo
+	// Heap holds the per-relation heap-file audits (header CRCs, slot
+	// checksums, geometry vs manifest, on-disk sizes); empty before
+	// the first checkpoint commits a manifest.
 	Heap []heap.FileAudit
 	// FirstLSN and LastLSN bound the readable records.
 	FirstLSN, LastLSN uint64
 	Records           int
 }
 
-// Clean reports whether every snapshot, every segment (torn tails
-// included), and every heap file validated.
+// Clean reports whether every segment (torn tails included) and every
+// heap file validated.
 func (rp *Report) Clean() bool {
 	for _, s := range rp.Segments {
-		if s.Err != "" {
-			return false
-		}
-	}
-	for _, s := range rp.Snapshots {
 		if s.Err != "" {
 			return false
 		}
@@ -524,7 +469,7 @@ func (rp *Report) Clean() bool {
 }
 
 // Inspect scans a data directory read-only — no repairs, no
-// truncation — reporting every snapshot and segment and calling fn
+// truncation — reporting every heap file and segment and calling fn
 // (when non-nil) with each decodable record in LSN order. It backs the
 // `dfdbm wal` subcommand and works on a live or crashed directory.
 func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*Report, error) {
@@ -539,22 +484,7 @@ func Inspect(dir string, fn func(segment string, offset int64, rec *Record)) (*R
 		rp.Heap = audits
 	}
 
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return nil, err
-	}
-	for _, sn := range snaps {
-		si := SnapshotInfo{Name: filepath.Base(sn.path), CoverLSN: sn.lsn}
-		if info, err := os.Stat(sn.path); err == nil {
-			si.Bytes = info.Size()
-		}
-		if _, err := catalog.LoadFile(sn.path); err != nil {
-			si.Err = err.Error()
-		}
-		rp.Snapshots = append(rp.Snapshots, si)
-	}
-
-	segs, err := listSeq(walDir, segPrefix, segSuffix)
+	segs, err := listSegments(walDir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return rp, nil

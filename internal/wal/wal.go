@@ -64,10 +64,6 @@ type Options struct {
 	SegmentSize int64
 	// Fsync is the durability policy. Default FsyncCommit.
 	Fsync FsyncPolicy
-	// Snapshots is how many catalog snapshots to retain (the newest is
-	// the recovery base; older ones are fallbacks for a torn newest).
-	// Default 2.
-	Snapshots int
 	// Obs, when non-nil, receives the wal.* counters and histograms
 	// (append/fsync latency, group-commit size, recovery and
 	// torn-tail counters) and — when it carries a flight recorder —
@@ -77,27 +73,30 @@ type Options struct {
 	// the Nth record write or fsync: the crash-point hook driving
 	// recovery tests and the CI kill -9 loop.
 	Injector *Injector
-	// Heap, when non-nil, switches the data directory to heap-file
-	// storage: each relation lives in <dir>/heap/<name>.heap behind a
-	// shared pinning buffer pool, checkpoints flush and advance the
-	// per-relation files instead of snapshotting the whole catalog,
-	// and recovery replays the log tail into the files page-by-page.
+	// Heap sizes the heap-file storage every data directory uses:
+	// each relation lives in <dir>/heap/<name>.heap behind one shared
+	// pinning buffer pool. Nil means the default frame budget.
 	Heap *HeapOptions
 }
 
-// HeapOptions parameterizes heap-file storage (Options.Heap).
+// HeapOptions sizes heap-file storage (Options.Heap).
 type HeapOptions struct {
 	// Frames is the buffer-pool frame budget shared by all relations.
 	// Default heap.DefaultFrames.
 	Frames int
 }
 
+// frames returns the frame budget, 0 (heap.DefaultFrames) for nil.
+func (h *HeapOptions) frames() int {
+	if h == nil {
+		return 0
+	}
+	return h.Frames
+}
+
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 16 << 20
-	}
-	if o.Snapshots <= 0 {
-		o.Snapshots = 2
 	}
 	return o
 }
@@ -177,7 +176,8 @@ func (in *Injector) onSync() error {
 
 // Log is an open write-ahead log rooted at a data directory:
 //
-//	<dir>/snap-<lsn>.db    atomic catalog snapshots
+//	<dir>/heap/manifest      the committed relation set (names, schemas)
+//	<dir>/heap/<rel>.heap    one slotted heap file per relation
 //	<dir>/wal/wal-<lsn>.seg  log segments, first LSN in the name
 //
 // Append is safe for concurrent use; records are assigned dense LSNs
@@ -207,18 +207,11 @@ type Log struct {
 
 	sinceCkpt atomic.Int64 // bytes appended since the last checkpoint
 	ckptGen   atomic.Int64 // catalog generation at the last checkpoint
-	ckptLSN   atomic.Uint64
 
-	// heap is the heap-file store when Options.Heap is set; nil in
-	// snapshot mode.
-	heap *heap.Store
+	heap *heap.Store // the relations' heap files and buffer pool
 
 	flusherDone chan struct{}
 }
-
-// Heap returns the heap-file store, or nil when the log runs in
-// whole-catalog snapshot mode.
-func (l *Log) Heap() *heap.Store { return l.heap }
 
 // testFlushGate, when non-nil, sees every batch before it is written —
 // the test hook that holds the flusher still while appenders pile up,
@@ -235,23 +228,20 @@ type appendReq struct {
 const (
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
-	snapPrefix   = "snap-"
-	snapSuffix   = ".db"
 	segHeaderLen = 20
 	segVersion   = 1
 )
 
 var segMagic = [8]byte{'D', 'F', 'D', 'B', 'M', 'W', 'A', 'L'}
 
-func segName(firstLSN uint64) string  { return fmt.Sprintf("%s%016x%s", segPrefix, firstLSN, segSuffix) }
-func snapName(coverLSN uint64) string { return fmt.Sprintf("%s%016x%s", snapPrefix, coverLSN, snapSuffix) }
+func segName(firstLSN uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, firstLSN, segSuffix) }
 
-// parseSeqName extracts the LSN from "wal-<16 hex>.seg" / "snap-...db".
-func parseSeqName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+// parseSegName extracts the LSN from "wal-<16 hex>.seg".
+func parseSegName(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
 		return 0, false
 	}
-	hex := name[len(prefix) : len(name)-len(suffix)]
+	hex := name[len(segPrefix) : len(name)-len(segSuffix)]
 	if len(hex) != 16 {
 		return 0, false
 	}
@@ -434,38 +424,28 @@ func (l *Log) openSegment(firstLSN uint64) error {
 	return nil
 }
 
-// Checkpoint atomically snapshots the catalog, logs a checkpoint
-// record referencing it, and prunes segments and snapshots the new
-// snapshot obsoletes. The caller must guarantee no writer mutates the
-// catalog during the call (the server runs checkpoints as a job whose
-// footprint writes every relation). A checkpoint with no writes since
-// the previous one is skipped.
+// Checkpoint makes the catalog durable in its heap files: every dirty
+// frame is flushed, each file fsynced and its base LSN advanced to the
+// last assigned LSN, the set committed through the manifest (adopting
+// relations not yet stored), and then a checkpoint record is logged
+// and the segments it covers are pruned. The caller must guarantee no
+// writer mutates the catalog during the call (the server runs
+// checkpoints as a job whose footprint writes every relation). A
+// checkpoint with no writes since the previous one is skipped.
 func (l *Log) Checkpoint(cat *catalog.Catalog) error {
 	gen := cat.Generation()
-	if gen == l.ckptGen.Load() && l.hasCheckpointBase() {
+	if gen == l.ckptGen.Load() && l.heap.ManifestExists() {
 		l.count("wal.checkpoints_skipped", 1)
 		return nil
 	}
 	cover := l.LastLSN()
-	name := heapCheckpointName
-	if l.heap != nil {
-		// Heap mode: per-relation durability. Flush every dirty frame,
-		// fsync each heap file, advance its header to cover, and commit
-		// the set via the manifest — no whole-catalog snapshot.
-		if err := l.heap.Checkpoint(cat, cover); err != nil {
-			return fmt.Errorf("wal: heap checkpoint: %w", err)
-		}
-	} else {
-		name = snapName(cover)
-		if err := catalog.WriteFileAtomic(filepath.Join(l.dir, name), cat.Save); err != nil {
-			return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-		}
+	if err := l.heap.Checkpoint(cat, cover); err != nil {
+		return fmt.Errorf("wal: heap checkpoint: %w", err)
 	}
-	if _, err := l.Append(&Record{Type: RecCheckpoint, Snapshot: name, CoverLSN: cover}); err != nil {
+	if _, err := l.Append(&Record{Type: RecCheckpoint, Snapshot: heapCheckpointName, CoverLSN: cover}); err != nil {
 		return fmt.Errorf("wal: checkpoint record: %w", err)
 	}
 	l.ckptGen.Store(gen)
-	l.ckptLSN.Store(cover)
 	l.sinceCkpt.Store(0)
 	l.count("wal.checkpoints", 1)
 	if err := l.prune(cover); err != nil {
@@ -474,30 +454,15 @@ func (l *Log) Checkpoint(cat *catalog.Catalog) error {
 	return nil
 }
 
-// heapCheckpointName is the Snapshot field of heap-mode checkpoint
-// records: the durable base is the heap files themselves.
+// heapCheckpointName is the Snapshot field of checkpoint records: the
+// durable base is the heap files themselves.
 const heapCheckpointName = "heap"
 
-// hasCheckpointBase reports whether a recovery base already exists on
-// disk (a snapshot file, or in heap mode a committed manifest) — the
-// condition under which an unchanged-generation checkpoint may be
-// skipped.
-func (l *Log) hasCheckpointBase() bool {
-	if l.heap != nil {
-		return l.heap.ManifestExists()
-	}
-	return l.hasSnapshot()
-}
-
-func (l *Log) hasSnapshot() bool {
-	snaps, _ := listSeq(l.dir, snapPrefix, snapSuffix)
-	return len(snaps) > 0
-}
-
-// prune removes segments fully covered by the checkpoint at cover and
-// all but the newest Options.Snapshots snapshot files.
+// prune removes segments fully covered by the checkpoint at cover. The
+// removals need no directory fsync: a segment a crash resurrects holds
+// only records the heap files cover, which replay skips.
 func (l *Log) prune(cover uint64) error {
-	segs, err := listSeq(l.walDir, segPrefix, segSuffix)
+	segs, err := listSegments(l.walDir)
 	if err != nil {
 		return err
 	}
@@ -512,21 +477,11 @@ func (l *Log) prune(cover uint64) error {
 			l.count("wal.segments_pruned", 1)
 		}
 	}
-	snaps, err := listSeq(l.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < len(snaps)-l.opts.Snapshots; i++ {
-		if err := os.Remove(snaps[i].path); err != nil {
-			return err
-		}
-		l.count("wal.snapshots_pruned", 1)
-	}
-	return catalog.SyncDir(l.dir)
+	return nil
 }
 
-// Close flushes pending appends and closes the log. In heap mode the
-// heap files close WITHOUT flushing dirty buffer-pool frames: every
+// Close flushes pending appends and closes the log. The heap files
+// close WITHOUT flushing dirty buffer-pool frames: every
 // unflushed page is past some file's base LSN and therefore in the
 // log, so an unflushed close recovers exactly like a crash — which
 // keeps the close path trivially correct.
@@ -541,21 +496,18 @@ func (l *Log) Close() error {
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	<-l.flusherDone
-	if l.heap != nil {
-		return l.heap.Close()
-	}
-	return nil
+	return l.heap.Close()
 }
 
-// seqFile is one LSN-named file (segment or snapshot).
+// seqFile is one LSN-named log segment.
 type seqFile struct {
 	path string
 	lsn  uint64
 }
 
-// listSeq lists the LSN-named files with the given prefix/suffix in
-// dir, sorted ascending by LSN.
-func listSeq(dir, prefix, suffix string) ([]seqFile, error) {
+// listSegments lists the log segments in dir, sorted ascending by
+// first LSN.
+func listSegments(dir string) ([]seqFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -565,7 +517,7 @@ func listSeq(dir, prefix, suffix string) ([]seqFile, error) {
 		if e.IsDir() {
 			continue
 		}
-		if n, ok := parseSeqName(e.Name(), prefix, suffix); ok {
+		if n, ok := parseSegName(e.Name()); ok {
 			out = append(out, seqFile{path: filepath.Join(dir, e.Name()), lsn: n})
 		}
 	}

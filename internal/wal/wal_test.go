@@ -6,12 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dfdbm/internal/catalog"
+	"dfdbm/internal/heap"
 	"dfdbm/internal/obs"
+	"dfdbm/internal/query"
+	"dfdbm/internal/relalg"
 	"dfdbm/internal/relation"
 )
 
@@ -37,9 +42,31 @@ func seedCatalog(t testing.TB) *catalog.Catalog {
 	return c
 }
 
-// appendRecord builds a RecAppend carrying n freshly built tuples
-// starting at id start.
-func appendRecord(t testing.TB, start, n int) *Record {
+// testOp is a logical write op that can be applied both to a
+// heap-backed catalog (through AppendRecord + Apply, exactly like the
+// server) and to a fully resident reference catalog. Byte-identity of
+// the two after any op sequence is the storage subsystem's core
+// invariant.
+type testOp struct {
+	kind     string // "append" or "delete"
+	start, n int    // append: first id and tuple count
+	pred     string // delete: predicate text
+}
+
+// testOps is the shared op sequence: appends and deletes that exercise
+// multi-page payloads, compaction, and predicate replay.
+func testOps() []testOp {
+	return []testOp{
+		{kind: "append", start: 100, n: 5},
+		{kind: "delete", pred: "id < 2"},
+		{kind: "append", start: 200, n: 30}, // several pages
+		{kind: "delete", pred: `(id >= 200) and (id < 210)`},
+		{kind: "append", start: 300, n: 3},
+		{kind: "delete", pred: "tag = \"seed\""},
+	}
+}
+
+func buildSrc(t testing.TB, start, n int) *relation.Relation {
 	t.Helper()
 	src := relation.MustNew("src", evSchema(), 128)
 	for i := 0; i < n; i++ {
@@ -47,35 +74,78 @@ func appendRecord(t testing.TB, start, n int) *Record {
 			t.Fatal(err)
 		}
 	}
-	pages := make([][]byte, 0, src.NumPages())
-	for _, pg := range src.Pages() {
-		pages = append(pages, pg.Marshal())
+	return src
+}
+
+// opRecord builds op's redo record against cat's live state
+// (AppendRecord's physical images depend on the destination's current
+// page layout).
+func opRecord(t testing.TB, cat *catalog.Catalog, op testOp) *Record {
+	t.Helper()
+	if op.kind == "delete" {
+		return &Record{Type: RecDelete, Rel: "ev", Pred: op.pred}
 	}
-	return &Record{Type: RecAppend, Rel: "ev", SchemaHash: SchemaHash(evSchema()), Pages: pages}
+	dst, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := AppendRecord(dst, buildSrc(t, op.start, op.n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
-func deleteRecord(pred string) *Record {
-	return &Record{Type: RecDelete, Rel: "ev", Pred: pred}
+// applyOp builds op's redo record, logs it, and applies it — the same
+// log-then-apply order the server uses. It returns the log error.
+func applyOp(t testing.TB, l *Log, cat *catalog.Catalog, op testOp) error {
+	t.Helper()
+	rec := opRecord(t, cat, op)
+	if _, err := l.Append(rec); err != nil {
+		return err
+	}
+	if _, err := rec.Apply(cat); err != nil {
+		t.Fatalf("apply %s: %v", op.kind, err)
+	}
+	return nil
 }
 
-// testOps is the shared op sequence: appends and deletes that exercise
-// multi-page payloads, compaction, and predicate replay.
-func testOps(t testing.TB) []*Record {
-	return []*Record{
-		appendRecord(t, 100, 5),
-		deleteRecord("id < 2"),
-		appendRecord(t, 200, 30), // several pages
-		deleteRecord(`(id >= 200) and (id < 210)`),
-		appendRecord(t, 300, 3),
-		deleteRecord("tag = \"seed\""),
+// applyReference applies op to a resident catalog without the log:
+// appends insert tuple by tuple and deletes run relalg.Delete in
+// place, the paths the heap-backed redo images must reproduce.
+func applyReference(t testing.TB, cat *catalog.Catalog, op testOp) {
+	t.Helper()
+	dst, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.kind == "delete" {
+		root, err := query.Parse(fmt.Sprintf("delete(ev, %s)", op.pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := relalg.Delete(dst, root.Pred); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	err = buildSrc(t, op.start, op.n).Each(func(tu relation.Tuple) bool {
+		err = dst.Insert(tu)
+		return err == nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// cloneRecord copies a record so the same logical op can be logged
-// (which assigns an LSN) and replayed against reference catalogs.
-func cloneRecord(r *Record) *Record {
-	c := *r
-	return &c
+// referenceCatalog is the seed with ops applied by applyReference.
+func referenceCatalog(t testing.TB, ops []testOp) *catalog.Catalog {
+	t.Helper()
+	c := seedCatalog(t)
+	for _, op := range ops {
+		applyReference(t, c, op)
+	}
+	return c
 }
 
 func saveBytes(t testing.TB, c *catalog.Catalog) []byte {
@@ -87,20 +157,45 @@ func saveBytes(t testing.TB, c *catalog.Catalog) []byte {
 	return buf.Bytes()
 }
 
-// prefixStates returns the catalog Save bytes after applying each
-// prefix of ops to the seed: prefixStates[k] is seed + ops[:k].
-func prefixStates(t testing.TB, ops []*Record) [][]byte {
+// prefixStates returns the resident reference's Save bytes after each
+// prefix of ops: prefixStates[k] is seed + ops[:k].
+func prefixStates(t testing.TB, ops []testOp) [][]byte {
 	t.Helper()
 	out := make([][]byte, 0, len(ops)+1)
-	c := seedCatalog(t)
-	out = append(out, saveBytes(t, c))
-	for _, op := range ops {
-		if _, err := cloneRecord(op).Apply(c); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, saveBytes(t, c))
+	for k := 0; k <= len(ops); k++ {
+		out = append(out, saveBytes(t, referenceCatalog(t, ops[:k])))
 	}
 	return out
+}
+
+// requirePagesEqual asserts got (heap-backed) and want (resident) hold
+// byte-identical pages — the "identical to in-memory Relation by
+// construction" contract, checked at the marshalled-page level so slot
+// layout drift cannot hide behind tuple-level equality.
+func requirePagesEqual(t testing.TB, got, want *relation.Relation) {
+	t.Helper()
+	if got.NumPages() != want.NumPages() {
+		t.Fatalf("page count %d, want %d", got.NumPages(), want.NumPages())
+	}
+	if got.Cardinality() != want.Cardinality() {
+		t.Fatalf("cardinality %d, want %d", got.Cardinality(), want.Cardinality())
+	}
+	for i := 0; i < want.NumPages(); i++ {
+		gp, err := got.CopyPage(i)
+		if err != nil {
+			t.Fatalf("page %d: %v", i, err)
+		}
+		if !bytes.Equal(gp.Marshal(), want.Page(i).Marshal()) {
+			t.Fatalf("page %d differs between heap file and resident reference", i)
+		}
+	}
+}
+
+// heapOptions sizes the buffer pool: 0 is the default budget, which
+// holds every test relation; a handful of frames forces eviction and
+// write-back churn.
+func heapOptions(frames int) Options {
+	return Options{Heap: &HeapOptions{Frames: frames}}
 }
 
 // openSeeded opens dir, seeding and checkpointing a fresh directory.
@@ -119,25 +214,46 @@ func openSeeded(t testing.TB, dir string, opts Options) (*Log, *catalog.Catalog)
 	return l, cat
 }
 
-func TestRoundtripRecovery(t *testing.T) {
+// TestRoundtripRecovery logs the op sequence with a pool that holds
+// the whole relation, closes without flushing (a crash, as far as the
+// heap files know), and recovers byte-identically.
+func TestRoundtripRecovery(t *testing.T) { runRoundtripRecovery(t, 0) }
+
+// runRoundtripRecovery is the log/close/recover round trip over a
+// buffer pool of the given size.
+func runRoundtripRecovery(t *testing.T, frames int) {
 	dir := t.TempDir()
-	l, cat := openSeeded(t, dir, Options{})
-	ops := testOps(t)
-	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
+	l, cat := openSeeded(t, dir, heapOptions(frames))
+	ops := testOps()
+	lastDelete := -1
+	for i, op := range ops {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := op.Apply(cat); err != nil {
-			t.Fatal(err)
+		if op.kind == "delete" {
+			lastDelete = i
 		}
 	}
-	want := saveBytes(t, cat)
+	rel, err := cat.Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Stored() {
+		t.Fatal("checkpointed relation is not heap-backed")
+	}
+	ref := referenceCatalog(t, ops)
+	want := saveBytes(t, ref)
+	if got := saveBytes(t, cat); !bytes.Equal(got, want) {
+		t.Fatal("live heap-backed catalog differs from resident reference")
+	}
 	lastLSN := l.LastLSN()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, cat2, rv, err := Open(dir, Options{})
+	// Close does not flush dirty frames: reopening is a genuine
+	// recovery, replaying the log tail into the heap file.
+	l2, cat2, rv, err := Open(dir, heapOptions(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +261,10 @@ func TestRoundtripRecovery(t *testing.T) {
 	if rv.Fresh {
 		t.Fatal("recovery reported a fresh directory")
 	}
-	if rv.Replayed != len(ops) {
-		t.Fatalf("replayed %d records, want %d", rv.Replayed, len(ops))
+	// A delete rewrites the heap file with its own LSN as base, so
+	// only the records after the last delete replay.
+	if want := len(ops) - 1 - lastDelete; rv.Replayed != want {
+		t.Fatalf("replayed %d records, want %d", rv.Replayed, want)
 	}
 	if rv.TornTail {
 		t.Fatal("clean shutdown reported a torn tail")
@@ -155,11 +273,14 @@ func TestRoundtripRecovery(t *testing.T) {
 		t.Fatalf("recovered LastLSN %d, want %d", l2.LastLSN(), lastLSN)
 	}
 	if got := saveBytes(t, cat2); !bytes.Equal(got, want) {
-		t.Fatal("recovered catalog is not byte-identical to the live one")
+		t.Fatal("recovered catalog is not byte-identical to the reference")
 	}
+	wantRel, _ := ref.Get("ev")
+	gotRel, _ := cat2.Get("ev")
+	requirePagesEqual(t, gotRel, wantRel)
 
 	// Appends continue with dense LSNs after recovery.
-	lsn, err := l2.Append(appendRecord(t, 900, 1))
+	lsn, err := l2.Append(opRecord(t, cat2, testOp{kind: "append", start: 900, n: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +296,10 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	dir := t.TempDir()
 
 	l, cat := openSeeded(t, dir, Options{Obs: o})
+	recs := make([]*Record, writers)
+	for w := range recs {
+		recs[w] = opRecord(t, cat, testOp{kind: "append", start: 1000 + 10*w, n: 2})
+	}
 
 	// Hold the flusher on its first post-seed batch until every writer
 	// is either inside that batch or queued behind it, forcing the
@@ -202,7 +327,7 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lsn, err := l.Append(appendRecord(t, 1000+10*w, 2))
+			lsn, err := l.Append(recs[w])
 			if err != nil {
 				t.Error(err)
 				return
@@ -216,7 +341,6 @@ func TestGroupCommitSharesFsync(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = cat
 
 	// Dense, unique LSNs 2..writers+1 (the checkpoint record took 1).
 	if len(lsns) != writers {
@@ -249,15 +373,11 @@ func TestRotationAndPrune(t *testing.T) {
 	// Tiny segments force rotation every record or two.
 	l, cat := openSeeded(t, dir, Options{SegmentSize: 512, Obs: obs.New(nil, reg)})
 	for i := 0; i < 10; i++ {
-		op := appendRecord(t, 1000+10*i, 4)
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+		if err := applyOp(t, l, cat, testOp{kind: "append", start: 1000 + 10*i, n: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +385,12 @@ func TestRotationAndPrune(t *testing.T) {
 		t.Fatalf("only %d segments after 10 oversized appends", len(segs))
 	}
 
-	// Checkpoint prunes everything the snapshot covers but the last
-	// segment, and keeps at most Options.Snapshots snapshot files.
+	// Checkpoint prunes everything the heap files now cover but the
+	// last segment.
 	if err := l.Checkpoint(cat); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	after, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +399,6 @@ func TestRotationAndPrune(t *testing.T) {
 	}
 	if pruned := reg.Counter("wal.segments_pruned"); int(pruned) != len(segs)-1 {
 		t.Fatalf("wal.segments_pruned = %d, want %d", pruned, len(segs)-1)
-	}
-	snaps, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("%d snapshots retained, want 2", len(snaps))
 	}
 	want := saveBytes(t, cat)
 	if err := l.Close(); err != nil {
@@ -311,30 +424,19 @@ func TestCheckpointSkipsWhenClean(t *testing.T) {
 	l, cat := openSeeded(t, dir, Options{Obs: obs.New(nil, reg)})
 	defer l.Close()
 
-	before, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := l.LastLSN()
 	if err := l.Checkpoint(cat); err != nil {
 		t.Fatal(err)
 	}
-	after, err := listSeq(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("no-op checkpoint wrote a snapshot (%d -> %d)", len(before), len(after))
+	if after := l.LastLSN(); after != before {
+		t.Fatalf("no-op checkpoint logged a record (LSN %d -> %d)", before, after)
 	}
 	if skipped := reg.Counter("wal.checkpoints_skipped"); skipped != 1 {
 		t.Fatalf("wal.checkpoints_skipped = %d, want 1", skipped)
 	}
 
 	// A write makes the next checkpoint real again.
-	op := appendRecord(t, 500, 1)
-	if _, err := l.Append(op); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := op.Apply(cat); err != nil {
+	if err := applyOp(t, l, cat, testOp{kind: "append", start: 500, n: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(cat); err != nil {
@@ -349,12 +451,8 @@ func TestTornTailTruncated(t *testing.T) {
 	reg := obs.NewRegistry(time.Second)
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, Options{})
-	ops := testOps(t)
-	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+	for _, op := range testOps() {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,12 +462,12 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// A crash mid-write: the last segment gains half a record.
-	segs, err := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := segs[len(segs)-1].path
-	full := encode(&Record{Type: RecAppend, Rel: "ev", LSN: 999})
+	full := encode(&Record{Type: RecDelete, Rel: "ev", Pred: "id < 0", LSN: 999})
 	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -408,11 +506,17 @@ func TestTornTailTruncated(t *testing.T) {
 
 // TestCrashPointMatrix walks the crash injector across every write and
 // every fsync of the op sequence, in both clean-fail and torn-write
-// shapes, and asserts the recovered catalog is always exactly a prefix
-// of the acknowledged writes: everything acked survives, nothing is
-// ever half-applied.
-func TestCrashPointMatrix(t *testing.T) {
-	ops := testOps(t)
+// shapes, with a pool that holds the whole relation, and asserts the
+// recovered catalog is always exactly a prefix of the acknowledged
+// writes: everything acked survives, nothing is ever half-applied.
+func TestCrashPointMatrix(t *testing.T) { runCrashPointMatrix(t, 0) }
+
+// runCrashPointMatrix is the crash-point walk over a buffer pool of the
+// given size. Recovery must land on the acked prefix, or the acked
+// prefix plus the single in-flight record the crash interrupted
+// (durable but unacknowledged — atomic either way).
+func runCrashPointMatrix(t *testing.T, frames int) {
+	ops := testOps()
 	states := prefixStates(t, ops)
 
 	type point struct {
@@ -434,7 +538,9 @@ func TestCrashPointMatrix(t *testing.T) {
 	for _, pt := range points {
 		t.Run(pt.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, _, rv, err := Open(dir, Options{Injector: pt.inj})
+			opts := heapOptions(frames)
+			opts.Injector = pt.inj
+			l, _, rv, err := Open(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,38 +556,34 @@ func TestCrashPointMatrix(t *testing.T) {
 				}
 				crashed = true
 			}
-			for _, op := range ops {
-				if _, err := l.Append(cloneRecord(op)); err != nil {
-					if !Injected(err) {
-						t.Fatalf("append failed for a non-injected reason: %v", err)
+			if !crashed {
+				for _, op := range ops {
+					if err := applyOp(t, l, cat, op); err != nil {
+						if !Injected(err) {
+							t.Fatalf("append failed for a non-injected reason: %v", err)
+						}
+						crashed = true
+						break
 					}
-					crashed = true
-					break
+					acked++
 				}
-				acked++
 			}
 			if !crashed && acked == len(ops) {
 				t.Fatal("injector never fired; crash point out of range")
 			}
 			l.Close()
 
-			_, cat2, rv2, err := Open(dir, Options{})
+			_, cat2, rv2, err := Open(dir, heapOptions(frames))
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
-			var got []byte
 			if rv2.Fresh {
-				// The crash predates the first durable snapshot; an empty
-				// directory equals "no writes ever acked".
 				if acked != 0 {
 					t.Fatalf("fresh recovery but %d writes were acked", acked)
 				}
 				return
 			}
-			got = saveBytes(t, cat2)
-			// The recovered state must be the acked prefix, or the acked
-			// prefix plus the single in-flight record the crash interrupted
-			// (durable but unacknowledged — atomic either way).
+			got := saveBytes(t, cat2)
 			if !bytes.Equal(got, states[acked]) &&
 				(acked+1 >= len(states) || !bytes.Equal(got, states[acked+1])) {
 				t.Fatalf("recovered state is not the acked prefix (%d acked): %s", acked, rv2)
@@ -502,27 +604,38 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 	// Small ops keep the segment short enough to flip every byte, and
 	// FsyncNone keeps the thousands of recovery runs off the disk's
 	// flush path (crash atomicity is not under test here — decoding is).
-	ops := []*Record{
-		appendRecord(t, 100, 3),
-		deleteRecord("id < 2"),
-		appendRecord(t, 200, 2),
+	ops := []testOp{
+		{kind: "append", start: 100, n: 3},
+		{kind: "delete", pred: "id < 2"},
+		{kind: "append", start: 200, n: 2},
 	}
 	states := prefixStates(t, ops)
 
 	src := t.TempDir()
 	l, cat := openSeeded(t, src, Options{Fsync: FsyncNone})
-	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
+	// The seed checkpoint's heap files are every mutated copy's
+	// recovery base: they cover LSN 0, so replay reads the whole log.
+	heapFiles := map[string][]byte{}
+	ents, err := os.ReadDir(filepath.Join(src, "heap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, "heap", e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := op.Apply(cat); err != nil {
+		heapFiles[e.Name()] = b
+	}
+	for _, op := range ops {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSeq(filepath.Join(src, "wal"), segPrefix, segSuffix)
+	segs, err := listSegments(filepath.Join(src, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,15 +647,6 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	segName := filepath.Base(segs[0].path)
-	snaps, err := listSeq(src, snapPrefix, snapSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapBytes, err := os.ReadFile(snaps[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapName := filepath.Base(snaps[0].path)
 
 	check := func(t *testing.T, mutated []byte, what string) {
 		t.Helper()
@@ -552,11 +656,15 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 			}
 		}()
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapName), snapBytes, 0o644); err != nil {
-			t.Fatal(err)
+		for _, sub := range []string{"wal", "heap"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-			t.Fatal(err)
+		for name, b := range heapFiles {
+			if err := os.WriteFile(filepath.Join(dir, "heap", name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, "wal", segName), mutated, 0o644); err != nil {
 			t.Fatal(err)
@@ -572,8 +680,8 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 			}
 			return
 		}
-		l.Close()
 		got := saveBytes(t, cat)
+		l.Close()
 		for _, want := range states {
 			if bytes.Equal(got, want) {
 				return
@@ -597,12 +705,9 @@ func TestWALCorruptionEveryFlipAndTruncation(t *testing.T) {
 func TestInspect(t *testing.T) {
 	dir := t.TempDir()
 	l, cat := openSeeded(t, dir, Options{SegmentSize: 512})
-	ops := testOps(t)
+	ops := testOps()
 	for _, op := range ops {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := op.Apply(cat); err != nil {
+		if err := applyOp(t, l, cat, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -627,8 +732,8 @@ func TestInspect(t *testing.T) {
 	if len(rp.Segments) < 2 {
 		t.Fatalf("expected multiple segments, got %d", len(rp.Segments))
 	}
-	if len(rp.Snapshots) != 1 || rp.Snapshots[0].Err != "" {
-		t.Fatalf("snapshot report wrong: %+v", rp.Snapshots)
+	if len(rp.Heap) != 1 || rp.Heap[0].Err != nil {
+		t.Fatalf("heap file report wrong: %+v", rp.Heap)
 	}
 	for i, lsn := range seen {
 		if lsn != uint64(i)+1 {
@@ -637,7 +742,7 @@ func TestInspect(t *testing.T) {
 	}
 
 	// Torn tail shows up as a last-segment error, earlier segments clean.
-	segs, _ := listSeq(filepath.Join(dir, "wal"), segPrefix, segSuffix)
+	segs, _ := listSegments(filepath.Join(dir, "wal"))
 	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -653,6 +758,190 @@ func TestInspect(t *testing.T) {
 	}
 	if last := rp2.Segments[len(rp2.Segments)-1]; last.Err == "" {
 		t.Fatal("torn tail not attributed to the last segment")
+	}
+}
+
+// TestInterruptedInitIsFresh reopens data directories whose first
+// initialisation stopped before its seed checkpoint committed a heap
+// manifest: after Open alone, with the first segment's header torn,
+// and with the seed's heap files written but no manifest. Each holds
+// no log record, so each must reopen Fresh, take the seed, and then
+// recover it.
+func TestInterruptedInitIsFresh(t *testing.T) {
+	cases := []struct {
+		name  string
+		crash func(t *testing.T, dir string)
+	}{
+		{"open-then-close", func(*testing.T, string) {}},
+		{"torn-segment-header", func(t *testing.T, dir string) {
+			if err := os.Truncate(filepath.Join(dir, "wal", segName(1)), segHeaderLen/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"heap-files-without-manifest", func(t *testing.T, dir string) {
+			hs, err := heap.OpenStore(filepath.Join(dir, "heap"), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, _ := seedCatalog(t).Get("ev")
+			if err := hs.Adopt(rel, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := hs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, rv, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rv.Fresh {
+				t.Fatal("first open of an empty directory is not fresh")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.crash(t, dir)
+
+			l2, cat, rv, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rv.Fresh || cat != nil {
+				t.Fatalf("interrupted initialisation reopened as %q with a catalog, want fresh", rv)
+			}
+			seed := seedCatalog(t)
+			want := saveBytes(t, seed)
+			if err := l2.Checkpoint(seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l3, cat, rv, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l3.Close()
+			if rv.Fresh || cat == nil {
+				t.Fatal("seeded directory reopened fresh")
+			}
+			if got := saveBytes(t, cat); !bytes.Equal(got, want) {
+				t.Fatal("recovered seed differs from the seed")
+			}
+		})
+	}
+}
+
+// dirTree maps every path under root to its contents ("/" for a
+// directory), so a test can assert that an operation changed nothing.
+func dirTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			tree[path] = "/"
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		tree[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestOpenRefusesUnreadableDir covers what heap-only recovery cannot
+// read: log records with no heap manifest to replay them onto, a
+// whole-catalog checkpoint file of the retired snapshot layout, and a
+// checksummed record of the retired logical-append type. Open must
+// fail with ErrCorrupt naming the cause, and remove or rewrite nothing
+// — never reseed over acknowledged writes, never truncate them away.
+func TestOpenRefusesUnreadableDir(t *testing.T) {
+	cases := []struct {
+		name, cause string
+		damage      func(t *testing.T, dir string)
+	}{
+		{"records-without-manifest", "no heap manifest", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, "heap", "manifest")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"snapshot-layout-checkpoint", "checkpoint.db", func(t *testing.T, dir string) {
+			// The retired layout kept LSN-named whole-catalog .db files in
+			// the root and no heap directory.
+			if err := os.RemoveAll(filepath.Join(dir, "heap")); err != nil {
+				t.Fatal(err)
+			}
+			if err := seedCatalog(t).SaveFile(filepath.Join(dir, "checkpoint.db")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"retired-record-type", "unknown record type 1", func(t *testing.T, dir string) {
+			segs, err := listSegments(filepath.Join(dir, "wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := segs[len(segs)-1].path
+			f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(encode(&Record{Type: 1, LSN: uint64(len(testOps())) + 2})); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, cat := openSeeded(t, dir, Options{})
+			for _, op := range testOps() {
+				if err := applyOp(t, l, cat, op); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			before := dirTree(t, dir)
+
+			l2, cat2, _, err := Open(dir, Options{})
+			if err == nil {
+				l2.Close()
+				t.Fatalf("Open served the directory (catalog %v), want a refusal", cat2 != nil)
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("Open error %q, want ErrCorrupt naming %q", err, tc.cause)
+			}
+			if after := dirTree(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("refused Open changed the directory")
+			}
+		})
+	}
+}
+
+// TestAppendRecordRefusesResident pins that a resident (unstored)
+// destination gets an error, not a record: only heap files take redo.
+func TestAppendRecordRefusesResident(t *testing.T) {
+	dst, err := seedCatalog(t).Get("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := AppendRecord(dst, buildSrc(t, 0, 1)); err == nil {
+		t.Fatalf("AppendRecord on a resident relation built a %s record", rec.Type)
 	}
 }
 
