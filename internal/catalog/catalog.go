@@ -26,8 +26,11 @@ func New() *Catalog {
 	return &Catalog{rels: make(map[string]*relation.Relation)}
 }
 
-// Put adds or replaces a relation under its own name.
+// Put adds or replaces a relation under its own name. The relation's
+// pages become retained (Relation.Retain): every later scan shares
+// them, so no page pool may recycle them.
 func (c *Catalog) Put(r *relation.Relation) {
+	r.Retain()
 	c.mu.Lock()
 	c.rels[r.Name()] = r
 	c.mu.Unlock()

@@ -109,10 +109,6 @@ type Options struct {
 	// Project selects the duplicate-elimination strategy. Default
 	// ProjectSerialIC (the paper's baseline).
 	Project ProjectStrategy
-	// NoPagePool disables recycling of intermediate pages through the
-	// engine's relation.PagePool. Pooling is on by default; the knob
-	// exists so benchmarks can measure the allocation baseline.
-	NoPagePool bool
 	// Adaptive enables the per-edge pipeline-vs-materialize planner
 	// (query.PlanTree): execution pipelines pages as at PageLevel, but
 	// the inner operand of a join whose estimated size fits the page
@@ -192,7 +188,11 @@ type Stats struct {
 // Result is the outcome of executing one query.
 type Result struct {
 	// Relation holds the answer (for a Delete root, the surviving
-	// target relation; for Append, the destination).
+	// target relation; for Append, the destination). A query's own
+	// answer is built of engine-owned pool pages: its holder may hand
+	// them back to Engine.Pool with Put once they have been read, or
+	// simply drop them; putting the relation into a catalog retains
+	// them instead.
 	Relation *relation.Relation
 	// Stats meters the run.
 	Stats Stats
@@ -202,22 +202,23 @@ type Result struct {
 type Engine struct {
 	cat  *catalog.Catalog
 	opts Options
-	// pool recycles intermediate pages across the engine's executions;
-	// nil when Options.NoPagePool is set.
+	// pool recycles intermediate and result pages across the engine's
+	// executions.
 	pool *relation.PagePool
 }
 
 // New returns an engine over the catalog.
 func New(cat *catalog.Catalog, opts Options) *Engine {
-	e := &Engine{cat: cat, opts: opts.withDefaults()}
-	if !e.opts.NoPagePool {
-		e.pool = relation.NewPagePool()
-	}
-	return e
+	return &Engine{cat: cat, opts: opts.withDefaults(), pool: relation.NewPagePool()}
 }
 
 // Options returns the engine's effective (defaulted) options.
 func (e *Engine) Options() Options { return e.opts }
+
+// Pool returns the page pool the engine draws its intermediate and
+// result pages from. A Result's holder returns result pages to it once
+// they have been read.
+func (e *Engine) Pool() *relation.PagePool { return e.pool }
 
 // Execute runs a bound query tree and returns its result. Executions
 // are independent; an engine may execute several queries concurrently
@@ -301,6 +302,10 @@ func (e *Engine) execute(ctx context.Context, t *query.Tree) (*Result, error) {
 		if _, err := relalg.Append(dst, sub.Relation); err != nil {
 			return nil, err
 		}
+		// Append copied the tuples; the subtree's pages are dead.
+		for _, pg := range sub.Relation.Pages() {
+			e.pool.Put(pg)
+		}
 		sub.Relation = dst
 		sub.Stats.Elapsed = time.Since(start)
 		return sub, nil
@@ -353,12 +358,17 @@ func (e *Engine) executeStream(ctx context.Context, t *query.Tree, top *query.No
 	if err != nil {
 		return nil, err
 	}
+	// The sink keeps only engine-owned pages, so the result's holder
+	// may recycle them. A page the engine does not own — a catalog page
+	// or a buffer-pool frame forwarded by a scan root — is copied into
+	// a pool page while the scan still holds it.
 	var sinkMu sync.Mutex
 	sink := outlet{
 		send: func(pg *relation.Page) {
+			pg = e.pool.Own(pg)
 			sinkMu.Lock()
 			defer sinkMu.Unlock()
-			if err := resultRel.AppendPage(pg); err != nil {
+			if err := resultRel.AppendPooled(pg); err != nil {
 				run.fail(err)
 			}
 		},

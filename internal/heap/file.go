@@ -88,7 +88,7 @@ type File struct {
 // Create makes an empty heap file at path with a durable initial
 // header.
 func Create(path string, pageSize, tupleLen int, schemaHash, baseLSN uint64) (*File, error) {
-	if _, err := relation.NewPage(pageSize, tupleLen); err != nil {
+	if err := relation.CheckGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -261,7 +261,7 @@ func parseHeader(b []byte) (*headerView, error) {
 		pages:      binary.LittleEndian.Uint64(b[36:44]),
 		baseLSN:    binary.LittleEndian.Uint64(b[44:52]),
 	}
-	if _, err := relation.NewPage(hv.pageSize, hv.tupleLen); err != nil {
+	if err := relation.CheckGeometry(hv.pageSize, hv.tupleLen); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return hv, nil
@@ -291,15 +291,16 @@ func (hf *File) writeHeaderLocked(baseLSN uint64) error {
 // writeSlotLocked writes page i's full slot (header, blob, padding) at
 // its fixed offset. In-place and unordered: the WAL makes it safe.
 func (hf *File) writeSlotLocked(i int, p *relation.Page) error {
-	blob := p.Marshal()
-	if int64(len(blob))+slotHeaderLen > hf.slotSize {
-		return fmt.Errorf("heap: %s: page %d blob of %d bytes exceeds slot size %d", filepath.Base(hf.path), i, len(blob), hf.slotSize)
+	if n := int64(p.WireSize()); n+slotHeaderLen > hf.slotSize {
+		return fmt.Errorf("heap: %s: page %d blob of %d bytes exceeds slot size %d", filepath.Base(hf.path), i, n, hf.slotSize)
 	}
-	buf := make([]byte, hf.slotSize)
+	// Marshal straight into the zeroed slot buffer: the tail past the
+	// blob is the padding.
+	buf := p.AppendMarshal(make([]byte, slotHeaderLen, hf.slotSize))
+	blob := buf[slotHeaderLen:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(blob, castagnoli))
-	copy(buf[slotHeaderLen:], blob)
-	_, err := hf.f.WriteAt(buf, dataOff+int64(i)*hf.slotSize)
+	_, err := hf.f.WriteAt(buf[:hf.slotSize], dataOff+int64(i)*hf.slotSize)
 	return err
 }
 

@@ -34,18 +34,30 @@ type Page struct {
 	pooled   bool   // came from a PagePool and may be recycled by Put
 }
 
-// NewPage returns an empty page that serializes to at most pageSize bytes
-// and holds tuples of tupleLen bytes. pageSize must leave room for the
-// header and at least one tuple.
-func NewPage(pageSize, tupleLen int) (*Page, error) {
+// CheckGeometry reports whether a page of pageSize bytes can hold
+// tuples of tupleLen bytes: the size must leave room for the header and
+// at least one tuple. Callers that only validate a page shape use it
+// instead of building a page.
+func CheckGeometry(pageSize, tupleLen int) error {
 	if tupleLen <= 0 {
-		return nil, fmt.Errorf("relation: tuple length %d must be positive", tupleLen)
+		return fmt.Errorf("relation: tuple length %d must be positive", tupleLen)
 	}
 	if pageSize < PageHeaderLen+tupleLen {
-		return nil, fmt.Errorf("relation: page size %d too small for header plus one %d-byte tuple", pageSize, tupleLen)
+		return fmt.Errorf("relation: page size %d too small for header plus one %d-byte tuple", pageSize, tupleLen)
+	}
+	return nil
+}
+
+// NewPage returns an empty page that serializes to at most pageSize bytes
+// and holds tuples of tupleLen bytes. pageSize must leave room for the
+// header and at least one tuple. The payload buffer is allocated at full
+// capacity, so filling the page never grows it.
+func NewPage(pageSize, tupleLen int) (*Page, error) {
+	if err := CheckGeometry(pageSize, tupleLen); err != nil {
+		return nil, err
 	}
 	capBytes := (pageSize - PageHeaderLen) / tupleLen * tupleLen
-	return &Page{size: pageSize, tupleLen: tupleLen, capBytes: capBytes}, nil
+	return &Page{size: pageSize, tupleLen: tupleLen, capBytes: capBytes, data: make([]byte, 0, capBytes)}, nil
 }
 
 // MustNewPage is NewPage but panics on error.
@@ -164,19 +176,27 @@ func (p *Page) Clone() *Page {
 	return out
 }
 
-// Marshal serializes the page (header plus payload). The result is
-// WireSize() bytes long.
+// Marshal serializes the page (header plus payload) into a fresh
+// buffer. The result is WireSize() bytes long.
 func (p *Page) Marshal() []byte {
-	out := make([]byte, 0, p.WireSize())
-	out = binary.LittleEndian.AppendUint32(out, pageMagic)
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.size))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.tupleLen))
-	out = binary.LittleEndian.AppendUint32(out, uint32(p.TupleCount()))
-	out = append(out, p.data...)
-	return out
+	return p.AppendMarshal(make([]byte, 0, p.WireSize()))
 }
 
-// UnmarshalPage parses a page serialized by Marshal.
+// AppendMarshal appends the page's serialized form (WireSize() bytes)
+// to dst and returns the extended slice, so a caller streaming many
+// pages can marshal each into the same reused buffer.
+func (p *Page) AppendMarshal(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, pageMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.tupleLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.TupleCount()))
+	return append(dst, p.data...)
+}
+
+// UnmarshalPage parses a page serialized by Marshal. The page owns an
+// exact-size copy of the payload, so pages read from disk or off the
+// wire cost their content, not their capacity; appending to one grows
+// it like any slice.
 func UnmarshalPage(b []byte) (*Page, error) {
 	if len(b) < PageHeaderLen {
 		return nil, fmt.Errorf("relation: page blob too short (%d bytes)", len(b))
@@ -187,19 +207,20 @@ func UnmarshalPage(b []byte) (*Page, error) {
 	size := int(binary.LittleEndian.Uint32(b[4:]))
 	tupleLen := int(binary.LittleEndian.Uint32(b[8:]))
 	count := int(binary.LittleEndian.Uint32(b[12:]))
-	p, err := NewPage(size, tupleLen)
-	if err != nil {
+	if err := CheckGeometry(size, tupleLen); err != nil {
 		return nil, err
 	}
 	want := count * tupleLen
 	if len(b) != PageHeaderLen+want {
 		return nil, fmt.Errorf("relation: page blob is %d bytes, header says %d", len(b), PageHeaderLen+want)
 	}
-	if count > p.Capacity() {
-		return nil, fmt.Errorf("relation: page blob holds %d tuples, capacity is %d", count, p.Capacity())
+	capacity := (size - PageHeaderLen) / tupleLen
+	if count > capacity {
+		return nil, fmt.Errorf("relation: page blob holds %d tuples, capacity is %d", count, capacity)
 	}
-	p.data = append(p.data, b[PageHeaderLen:]...)
-	return p, nil
+	// append to a nil slice copies without zeroing the buffer first.
+	return &Page{size: size, tupleLen: tupleLen, capBytes: capacity * tupleLen,
+		data: append([]byte(nil), b[PageHeaderLen:]...)}, nil
 }
 
 // Paginator accumulates encoded tuples and emits full pages. Operators
@@ -215,7 +236,7 @@ type Paginator struct {
 // NewPaginator returns a paginator producing pages of the given size for
 // tuples of the given length.
 func NewPaginator(pageSize, tupleLen int) (*Paginator, error) {
-	if _, err := NewPage(pageSize, tupleLen); err != nil {
+	if err := CheckGeometry(pageSize, tupleLen); err != nil {
 		return nil, err
 	}
 	return &Paginator{pageSize: pageSize, tupleLen: tupleLen}, nil

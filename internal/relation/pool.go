@@ -11,11 +11,13 @@ import (
 // consumer has read them — so recycling them removes the dominant
 // allocation on the hot execution path.
 //
-// Ownership discipline: only pages obtained from a pool (Get) are ever
-// recycled (Put); Put on any other page — a catalog page, a result page
-// retained by Relation.AppendPage — is a no-op, because those pages are
-// aliased by live readers. A nil *PagePool is valid and degrades to
-// plain allocation, so pooling is a pure opt-in.
+// Ownership discipline: only pages obtained from a pool (Get, Own) are
+// ever recycled (Put); Put on any other page — a catalog page, a
+// buffer-pool frame, a page decoded by UnmarshalPage, a page retained
+// by Relation.AppendPage or a catalog — is a no-op, because those pages
+// are aliased by live readers. Whoever holds a pool page and is its
+// last reader may Put it. A nil *PagePool is valid and degrades to
+// plain allocation.
 type PagePool struct {
 	classes  sync.Map // pageClass -> *sync.Pool
 	hits     int64    // atomic: Gets served from the pool
@@ -97,6 +99,20 @@ func (p *PagePool) Get(pageSize, tupleLen int) (*Page, error) {
 	atomic.AddInt64(&p.misses, 1)
 	pg.pooled = true
 	return pg, nil
+}
+
+// Own returns pg itself when it is a pool page, and otherwise a pool
+// page holding a copy of its tuples, leaving pg untouched. A producer
+// handing pages to a consumer that will Put them calls Own first, so a
+// page it merely borrowed — a catalog page, a pinned buffer-pool frame
+// — is neither recycled nor read after the borrow ends.
+func (p *PagePool) Own(pg *Page) *Page {
+	if pg.pooled {
+		return pg
+	}
+	out := p.MustGet(pg.size, pg.tupleLen)
+	out.data = append(out.data, pg.data...)
+	return out
 }
 
 // MustGet is Get but panics on error; for size classes already

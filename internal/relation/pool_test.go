@@ -139,3 +139,57 @@ func TestPagePoolConcurrent(t *testing.T) {
 		t.Errorf("recycled = %d, want %d", s.Recycled, 8*500)
 	}
 }
+
+// TestPagePoolOwn: Own passes a pool page through and copies any other
+// page into a fresh pool page, leaving the original untouched.
+func TestPagePoolOwn(t *testing.T) {
+	p := NewPagePool()
+	pooled := p.MustGet(256, 12)
+	if got := p.Own(pooled); got != pooled {
+		t.Fatal("Own copied a page the pool already owns")
+	}
+	borrowed := MustNewPage(256, 12)
+	raw := make([]byte, 12)
+	raw[0] = 7
+	if err := borrowed.AppendRaw(raw); err != nil {
+		t.Fatal(err)
+	}
+	owned := p.Own(borrowed)
+	if owned == borrowed || !owned.pooled || borrowed.pooled {
+		t.Fatalf("Own of a borrowed page: same=%v owned.pooled=%v borrowed.pooled=%v",
+			owned == borrowed, owned.pooled, borrowed.pooled)
+	}
+	if string(owned.Marshal()) != string(borrowed.Marshal()) {
+		t.Fatal("Own's copy differs from the original")
+	}
+	p.Put(owned)
+	if borrowed.TupleCount() != 1 || borrowed.RawTuple(0)[0] != 7 {
+		t.Fatal("recycling the copy disturbed the original")
+	}
+}
+
+// TestPagePoolRetainedResultIsNotRecycled: AppendPooled keeps a result
+// page pool-owned, and Retain (what Catalog.Put calls) ends that.
+func TestPagePoolRetainedResultIsNotRecycled(t *testing.T) {
+	s, err := NewSchema(Attr{Name: "k", Type: Int32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPagePool()
+	res := MustNew("res", s, 256)
+	a, b := p.MustGet(256, s.TupleLen()), p.MustGet(256, s.TupleLen())
+	for _, pg := range []*Page{a, b} {
+		if err := res.AppendPooled(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Put(a)
+	if st := p.Stats(); st.Recycled != 1 {
+		t.Fatalf("result page not recyclable: %+v", st)
+	}
+	res.Retain()
+	p.Put(b)
+	if st := p.Stats(); st.Recycled != 1 {
+		t.Fatalf("retained page recycled: %+v", st)
+	}
+}

@@ -24,7 +24,7 @@ func New(name string, schema *Schema, pageSize int) (*Relation, error) {
 	if name == "" {
 		return nil, fmt.Errorf("relation: empty relation name")
 	}
-	if _, err := NewPage(pageSize, schema.TupleLen()); err != nil {
+	if err := CheckGeometry(pageSize, schema.TupleLen()); err != nil {
 		return nil, err
 	}
 	return &Relation{name: name, schema: schema, pageSize: pageSize}, nil
@@ -178,6 +178,31 @@ func (r *Relation) AppendPage(p *Page) error {
 	}
 	r.pages = append(r.pages, p)
 	return nil
+}
+
+// AppendPooled appends a page without retaining it: a pool page stays
+// pool-owned, so the relation's holder may Put it back once every page
+// has been read. Only transient results — the core engine's answer on
+// its way to a client — are built this way; Retain (which Catalog.Put
+// calls) turns such a relation into an ordinary one. Resident
+// relations only.
+func (r *Relation) AppendPooled(p *Page) error {
+	if p.TupleLen() != r.schema.TupleLen() {
+		return fmt.Errorf("relation: page holds %d-byte tuples, relation %q needs %d", p.TupleLen(), r.name, r.schema.TupleLen())
+	}
+	r.pages = append(r.pages, p)
+	return nil
+}
+
+// Retain marks every resident page as retained by the relation, so no
+// PagePool recycles it. A relation entering a catalog is shared by
+// every later scan; Catalog.Put retains it.
+func (r *Relation) Retain() {
+	for _, p := range r.pages {
+		if p.pooled { // write only when needed: catalog pages are read concurrently
+			p.pooled = false
+		}
+	}
 }
 
 // errStopEach is EachPage's internal early-stop sentinel.

@@ -424,47 +424,60 @@ type bindError struct{ err error }
 func (e *bindError) Error() string { return e.err.Error() }
 func (e *bindError) Unwrap() error { return e.err }
 
-// queryResult is a self-contained, wire-ready copy of one result
-// relation. See snapshotResult.
+// queryResult is one result relation in the streamer's hands: pool
+// pages the streamer alone reads, then returns to the engine's pool.
+// See ownResult.
 type queryResult struct {
 	name     string
 	pageSize uint32
 	schema   []wire.SchemaAttr
-	pages    [][]byte // relation.Page wire form, one blob per page
+	pages    []*relation.Page
 	tuples   int64
 }
 
-// snapshotResult deep-copies rel into wire-ready form. It must run
-// inside a job's scheduled Exec: append and delete queries hand back
-// the live shared catalog relation, and once the scheduler retires the
-// job a conflicting writer may be admitted and mutate that relation
-// concurrently. Snapshotting while the job still occupies the running
-// set pins the streamed bytes to the state this query produced, under
-// the same admission exclusion that guarded its execution.
-func snapshotResult(rel *relation.Relation) (*queryResult, error) {
+// ownResult takes rel's pages into the streamer's hands. A core-engine
+// read answer is already made of engine-owned pool pages and passes
+// through without a copy. Any other page — the live catalog relation
+// an append or delete hands back, or a machine-engine result — is
+// copied into an engine pool page. It must run inside a job's
+// scheduled Exec: once the scheduler retires the job a conflicting
+// writer may be admitted and mutate a live relation concurrently, so
+// the copy is taken under the same admission exclusion that guarded
+// the execution.
+func (s *Server) ownResult(rel *relation.Relation) (*queryResult, error) {
 	schema := rel.Schema()
 	attrs := make([]wire.SchemaAttr, schema.NumAttrs())
 	for i := range attrs {
 		a := schema.Attr(i)
 		attrs[i] = wire.SchemaAttr{Name: a.Name, Type: uint8(a.Type), Width: uint32(a.Width)}
 	}
-	// EachPage streams stored relations through the buffer pool one
-	// pinned frame at a time, so snapshotting never needs the whole
-	// relation resident.
-	blobs := make([][]byte, 0, rel.NumPages())
+	// EachPage walks stored relations through the buffer pool one
+	// pinned frame at a time, and each frame is copied while pinned.
+	pool := s.engine.Pool()
+	pages := make([]*relation.Page, 0, rel.NumPages())
 	if err := rel.EachPage(func(pg *relation.Page) error {
-		blobs = append(blobs, pg.Marshal())
+		pages = append(pages, pool.Own(pg))
 		return nil
 	}); err != nil {
+		s.recycle(pages)
 		return nil, fmt.Errorf("server: snapshot of %q: %w", rel.Name(), err)
 	}
 	return &queryResult{
 		name:     rel.Name(),
 		pageSize: uint32(rel.PageSize()),
 		schema:   attrs,
-		pages:    blobs,
+		pages:    pages,
 		tuples:   int64(rel.Cardinality()),
 	}, nil
+}
+
+// recycle returns result pages the server has finished reading to the
+// engine's pool. Put ignores pages that are not pool pages.
+func (s *Server) recycle(pages []*relation.Page) {
+	pool := s.engine.Pool()
+	for _, pg := range pages {
+		pool.Put(pg)
+	}
 }
 
 // execDurable runs a write query through the write-ahead log: build
@@ -497,8 +510,10 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node,
 			return nil, err
 		}
 		// AppendRecord logs full post-image pages of dst's heap file:
-		// torn-write-proof physical redo.
+		// torn-write-proof physical redo. It copies src's tuples, so
+		// src's pages are dead afterwards.
 		rec, err = wal.AppendRecord(dst, src)
+		s.recycle(src.Pages())
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +538,7 @@ func (s *Server) execDurable(ctx context.Context, root *query.Node,
 		return nil, fmt.Errorf("server: logged write failed to apply (recovery will replay it): %w", err)
 	}
 	s.count("server.durable_writes", 1)
-	res, err := snapshotResult(rel)
+	res, err := s.ownResult(rel)
 	if err != nil {
 		return nil, err
 	}
@@ -671,7 +686,8 @@ type session struct {
 	name   string
 	ver    uint16 // negotiated wire version; frames cross at this version
 
-	wmu sync.Mutex // serializes frame writes across query streamers
+	wmu     sync.Mutex // serializes frame writes across query streamers
+	pageBuf []byte     // marshalled result page, reused under wmu
 
 	imu      sync.Mutex
 	inflight int
@@ -910,7 +926,7 @@ func (c *session) handleQuery(q *wire.Query) {
 			if err != nil {
 				return nil, err
 			}
-			return snapshotResult(rel)
+			return s.ownResult(rel)
 		},
 	}
 	submitted := time.Since(s.start)
@@ -970,12 +986,14 @@ func (c *session) handleQuery(q *wire.Query) {
 	}()
 }
 
-// streamResult writes the result pages and closing stats frame. It
-// runs after the scheduler retired the query, so it must only touch
-// the snapshot, never a live relation.
+// streamResult writes the result pages and closing stats frame, then
+// returns the pages to the engine's pool. It runs after the scheduler
+// retired the query, so it must only touch the owned result pages,
+// never a live relation.
 func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sched.Outcome,
 	traceID uint64, lane sched.Lane, qspan *obs.Span, arrival time.Time) {
 	s := c.srv
+	defer s.recycle(res.pages)
 	s.flight.SetStage(traceID, obs.StageStream)
 	streamFrom := time.Now()
 	streamAt := time.Since(s.start)
@@ -987,15 +1005,15 @@ func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sc
 			return
 		}
 	}
-	for i, blob := range res.pages {
-		f := &wire.ResultPage{QueryID: qid, Seq: uint32(i), Last: i == len(res.pages)-1, Page: blob}
+	for i, pg := range res.pages {
+		f := &wire.ResultPage{QueryID: qid, Seq: uint32(i), Last: i == len(res.pages)-1}
 		if i == 0 {
 			f.Name = res.name
 			f.PageSize = res.pageSize
 			f.Schema = res.schema
 		}
-		bytesOut += int64(len(blob))
-		if !c.writeFrame(f) {
+		bytesOut += int64(pg.WireSize())
+		if !c.writePage(f, pg) {
 			s.flight.Finish(traceID, obs.OutcomeError+":stream", nil)
 			return
 		}
@@ -1050,6 +1068,20 @@ func (c *session) streamResult(qid uint32, engine string, res *queryResult, o sc
 func (c *session) writeFrame(f wire.Frame) bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.writeLocked(f)
+}
+
+// writePage writes one result frame carrying pg, marshalled into the
+// session's reused page buffer under the write lock.
+func (c *session) writePage(f *wire.ResultPage, pg *relation.Page) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.pageBuf = pg.AppendMarshal(c.pageBuf[:0])
+	f.Page = c.pageBuf
+	return c.writeLocked(f)
+}
+
+func (c *session) writeLocked(f wire.Frame) bool {
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.SessionTimeout))
 	return wire.WriteVersion(c.conn, f, c.ver) == nil
 }

@@ -229,7 +229,8 @@ type ResultPage struct {
 	PageSize uint32
 	Schema   []SchemaAttr
 	// Page is the page blob in relation.Page wire form (Marshal), or
-	// empty on a pure end-of-stream marker.
+	// empty on a pure end-of-stream marker. On a decoded frame it
+	// aliases the frame's own payload buffer.
 	Page []byte
 }
 
@@ -392,20 +393,63 @@ func Write(w io.Writer, f Frame) error { return WriteVersion(w, f, Version) }
 // WriteVersion encodes f at the given negotiated protocol version and
 // writes it to w as one frame. Sessions use it after the handshake so
 // a v2 server never sends v2 fields to a v1 client.
+//
+// The header and payload are encoded into one reused buffer and handed
+// to w in a single Write. Per the io.Writer contract, w must not retain
+// the slice it is given: the buffer is reused by the next frame.
 func WriteVersion(w io.Writer, f Frame, ver uint16) error {
-	e := encoder{ver: ver}
-	f.encode(&e)
+	e := getEncoder(ver)
+	defer putEncoder(e)
+	e.b = append(e.b, byte(f.Type()), 0, 0, 0, 0) // length patched below
+	f.encode(e)
 	if e.err != nil {
 		return fmt.Errorf("wire: encoding %s frame: %w", f.Type(), e.err)
 	}
-	if len(e.b) > MaxFrameLen {
-		return fmt.Errorf("wire: %s frame payload is %d bytes, max %d", f.Type(), len(e.b), MaxFrameLen)
+	n := len(e.b) - frameHeaderLen
+	if n > MaxFrameLen {
+		return fmt.Errorf("wire: %s frame payload is %d bytes, max %d", f.Type(), n, MaxFrameLen)
 	}
-	hdr := make([]byte, 5, 5+len(e.b))
-	hdr[0] = byte(f.Type())
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(e.b)))
-	_, err := w.Write(append(hdr, e.b...))
+	binary.LittleEndian.PutUint32(e.b[1:], uint32(n))
+	_, err := w.Write(e.b)
 	return err
+}
+
+// frameHeaderLen is the type byte plus the u32 payload length.
+const frameHeaderLen = 5
+
+// encoders is a leaky free list of frame encoders (Effective Go's
+// "leaky buffer"): WriteVersion takes one when available and returns
+// it afterwards, so a steady stream of frames reuses the same few
+// buffers. Unlike a sync.Pool it never drops a buffer at random, so
+// the steady-state allocation count is deterministic. Sixteen covers
+// the frames a server writes at once (one per streaming session on a
+// small host); a burst beyond that allocates and the extras are
+// dropped.
+var encoders = make(chan *encoder, 16)
+
+// maxPooledEncoder bounds the buffer a returned encoder may keep: a
+// rare huge frame is not pinned in memory for the process lifetime.
+const maxPooledEncoder = 1 << 20
+
+func getEncoder(ver uint16) *encoder {
+	select {
+	case e := <-encoders:
+		e.ver = ver
+		return e
+	default:
+		return &encoder{ver: ver}
+	}
+}
+
+func putEncoder(e *encoder) {
+	if cap(e.b) > maxPooledEncoder {
+		return
+	}
+	e.b, e.err = e.b[:0], nil
+	select {
+	case encoders <- e:
+	default:
+	}
 }
 
 // Read reads and decodes one frame from r at the current protocol
@@ -417,8 +461,13 @@ func Read(r io.Reader) (Frame, error) { return ReadVersion(r, Version) }
 // ReadVersion reads and decodes one frame from r at the given
 // negotiated protocol version. Sessions use it after the handshake so
 // a frame from a v1 peer is decoded with the v1 layout.
+//
+// Each frame is read into a freshly allocated payload buffer that the
+// returned frame owns: byte fields such as ResultPage.Page alias it
+// rather than copy it, and stay valid for as long as the caller keeps
+// them.
 func ReadVersion(r io.Reader, ver uint16) (Frame, error) {
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -560,11 +609,14 @@ func (d *decoder) str() string {
 	return string(b)
 }
 
+// bytes returns a length-prefixed byte field aliasing the payload,
+// which the decoded frame owns (see ReadVersion); an empty field is
+// nil.
 func (d *decoder) bytes() []byte {
 	n := int(d.u32())
 	b := d.take(n)
-	if b == nil {
+	if len(b) == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:n:n]
 }
